@@ -22,7 +22,8 @@ fraction (1.0 = every post-startup batch rode the frontier), the
 record append warm), and truth agreement against a cold fit of a mirror
 dataset fed the identical stream.
 
-Results land in ``BENCH_service.json`` at the repo root (a separate artifact
+Results land in ``BENCH_service.json`` (at the repo root with
+``REPRO_WRITE_BENCH=1``, else in a session temp directory; a separate artifact
 from ``BENCH_columnar.json`` — this one is service-level: writes/sec and
 read-latency percentiles, not per-engine speedups). Deterministic shape
 assertions (every write applied, truths match a cold fit of the identical
@@ -62,7 +63,6 @@ from repro.serving import (
     scan_journal,
 )
 
-ARTIFACT = Path(__file__).resolve().parent.parent / "BENCH_service.json"
 
 N_OBJECTS = 5000
 N_SOURCES = 15000
@@ -147,7 +147,12 @@ def claim_stream(dataset: TruthDiscoveryDataset, seed: int = 97):
 
 
 @pytest.fixture(scope="module")
-def serving_report() -> Dict[str, object]:
+def artifact(bench_artifact_dir) -> Path:
+    return bench_artifact_dir / "BENCH_service.json"
+
+
+@pytest.fixture(scope="module")
+def serving_report(artifact) -> Dict[str, object]:
     base = make_sparse_dataset()
     mirror = make_sparse_dataset()
     streams = [writer_stream(base, k) for k in range(N_WRITERS)]
@@ -228,12 +233,12 @@ def serving_report() -> Dict[str, object]:
         },
         "truth_agreement": agreement,
     }
-    ARTIFACT.write_text(json.dumps(report, indent=2) + "\n")
+    artifact.write_text(json.dumps(report, indent=2) + "\n")
     return report
 
 
 @pytest.fixture(scope="module")
-def journal_report(serving_report, tmp_path_factory) -> Dict[str, object]:
+def journal_report(serving_report, artifact, tmp_path_factory) -> Dict[str, object]:
     """The identical load journal-on vs journal-off, then a timed recovery.
 
     Both runs happen back-to-back inside this fixture (after
@@ -330,9 +335,9 @@ def journal_report(serving_report, tmp_path_factory) -> Dict[str, object]:
             "total_recover_seconds": recovered["recover_total_seconds"],
         },
     }
-    artifact = json.loads(ARTIFACT.read_text())
-    artifact.update(sections)
-    ARTIFACT.write_text(json.dumps(artifact, indent=2) + "\n")
+    data = json.loads(artifact.read_text())
+    data.update(sections)
+    artifact.write_text(json.dumps(data, indent=2) + "\n")
     return {
         "final_epoch": outcome["final_epoch"],
         "final_truths": outcome["final_truths"],
@@ -343,7 +348,7 @@ def journal_report(serving_report, tmp_path_factory) -> Dict[str, object]:
 
 
 @pytest.fixture(scope="module")
-def mixed_report(serving_report) -> Dict[str, object]:
+def mixed_report(serving_report, artifact) -> Dict[str, object]:
     """Mixed claim+answer traffic: answer writers plus a claims writer whose
     records grow the slot layout (brand-new candidate values, brand-new
     objects). Steady state must stay on the incremental path — the
@@ -421,14 +426,14 @@ def mixed_report(serving_report) -> Dict[str, object]:
         "warm_start_degradation_reasons": stats["warm_start_degradation_reasons"],
         "truth_agreement": agreement,
     }
-    artifact = json.loads(ARTIFACT.read_text())
-    artifact["mixed_traffic"] = section
-    ARTIFACT.write_text(json.dumps(artifact, indent=2) + "\n")
+    data = json.loads(artifact.read_text())
+    data["mixed_traffic"] = section
+    artifact.write_text(json.dumps(data, indent=2) + "\n")
     return section
 
 
 @pytest.fixture(scope="module")
-def compaction_report(serving_report, tmp_path_factory) -> Dict[str, object]:
+def compaction_report(serving_report, artifact, tmp_path_factory) -> Dict[str, object]:
     """Compaction bounds recovery replay by data size, not history length.
 
     Builds a deliberately long-history journal over the 5k-object substrate —
@@ -500,13 +505,13 @@ def compaction_report(serving_report, tmp_path_factory) -> Dict[str, object]:
         "replay_reduction": replay_seconds_before / replay_seconds_after,
         "lossless": lossless,
     }
-    artifact = json.loads(ARTIFACT.read_text())
-    artifact["compaction"] = section
-    ARTIFACT.write_text(json.dumps(artifact, indent=2) + "\n")
+    data = json.loads(artifact.read_text())
+    data["compaction"] = section
+    artifact.write_text(json.dumps(data, indent=2) + "\n")
     return section
 
 
-def test_every_write_applied_and_truths_match_cold_fit(serving_report):
+def test_every_write_applied_and_truths_match_cold_fit(serving_report, artifact):
     """Deterministic half: the load was fully absorbed (no rejects, every
     write published), the steady state ran incrementally, and the served
     truths equal a cold fit of the identical final dataset."""
@@ -514,11 +519,11 @@ def test_every_write_applied_and_truths_match_cold_fit(serving_report):
     assert serving_report["final_epoch"] == serving_report["batches"]
     assert serving_report["fits_incremental"] > 0
     assert serving_report["truth_agreement"] >= 0.999
-    assert ARTIFACT.exists()
-    assert json.loads(ARTIFACT.read_text())["writes"] == TOTAL_WRITES
+    assert artifact.exists()
+    assert json.loads(artifact.read_text())["writes"] == TOTAL_WRITES
 
 
-def test_journaled_load_is_durable_and_recovery_is_exact(journal_report):
+def test_journaled_load_is_durable_and_recovery_is_exact(journal_report, artifact):
     """Deterministic half of the durability bench: every write absorbed with
     the journal attached, recovery replayed the whole accepted stream with
     nothing truncated, and the recovered truths track the live ones."""
@@ -532,12 +537,12 @@ def test_journaled_load_is_durable_and_recovery_is_exact(journal_report):
     recovered = journal_report["recovered_truths"]
     agreement = float(np.mean([recovered[o] == t for o, t in final.items()]))
     assert agreement >= 0.999
-    artifact = json.loads(ARTIFACT.read_text())
-    assert artifact["journal"]["writes"] == TOTAL_WRITES
-    assert artifact["recovery"]["writes_replayed"] == TOTAL_WRITES
+    data = json.loads(artifact.read_text())
+    assert data["journal"]["writes"] == TOTAL_WRITES
+    assert data["recovery"]["writes_replayed"] == TOTAL_WRITES
 
 
-def test_mixed_traffic_stays_incremental_with_zero_degradations(mixed_report):
+def test_mixed_traffic_stays_incremental_with_zero_degradations(mixed_report, artifact):
     """Deterministic half of the fixed cliff, service-level: under mixed
     claim+answer traffic every write is absorbed, every post-startup batch
     is served on the incremental path (the slot-growth splice — the record
@@ -549,8 +554,8 @@ def test_mixed_traffic_stays_incremental_with_zero_degradations(mixed_report):
     assert mixed_report["warm_start_degradations"] == 0, mixed_report
     assert mixed_report["warm_start_degradation_reasons"] == {}, mixed_report
     assert mixed_report["truth_agreement"] >= 0.999, mixed_report
-    artifact = json.loads(ARTIFACT.read_text())
-    assert artifact["mixed_traffic"]["warm_start_degradations"] == 0
+    data = json.loads(artifact.read_text())
+    assert data["mixed_traffic"]["warm_start_degradations"] == 0
 
 
 @pytest.mark.slow  # wall-clock assertion: only the non-blocking CI bench job
@@ -562,7 +567,7 @@ def test_sustained_throughput_and_read_latency(serving_report):
     assert serving_report["read_latency"]["count"] > 0
 
 
-def test_compaction_is_lossless_and_collapses_history(compaction_report):
+def test_compaction_is_lossless_and_collapses_history(compaction_report, artifact):
     """Deterministic half: whatever the history length, the compacted file
     is exactly base + checkpoint, nothing is replayed after it, and the
     rebuilt claim state and version stamps are bitwise those of the
@@ -572,8 +577,8 @@ def test_compaction_is_lossless_and_collapses_history(compaction_report):
     assert compaction_report["batches_replayed_before"] == COMPACT_HISTORY
     assert compaction_report["batches_replayed_after"] == 0
     assert compaction_report["lossless"] is True
-    artifact = json.loads(ARTIFACT.read_text())
-    assert artifact["compaction"]["history_batches"] == COMPACT_HISTORY
+    data = json.loads(artifact.read_text())
+    assert data["compaction"]["history_batches"] == COMPACT_HISTORY
 
 
 @pytest.mark.slow  # wall-clock assertion: only the non-blocking CI bench job

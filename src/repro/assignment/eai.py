@@ -18,24 +18,44 @@ and stops as soon as no remaining object can beat any worker's current
 worst assigned task — the pruning evaluated in Figure 13.
 
 Like the inference algorithms, the assigner ships two engines behind
-``use_columnar`` (``"auto"`` by default). The reference engine evaluates the
-per-object :class:`~repro.inference._structures.ObjectStructure` likelihood
-matrices — the shape the equations are written in, kept as the parity
-oracle. The columnar engine consumes the TDH EM state directly as flat slot
-arrays (``mu``, ``N_{o,v}``, ``D_o``) plus precomputed worker-likelihood
-case weights over the encoding's candidate x candidate cross-join
-(:attr:`~repro.data.columnar.ColumnarClaims.slot_pairs`), so a whole
-crowdsourcing round never touches a per-object dict. Algorithm 1's control
-flow — heap walk, pruning, eviction cascade, tie-breaks — is shared by both
-engines, and the per-pair arithmetic mirrors the reference operation by
-operation, so the two engines produce *identical* assignments (enforced by
-``tests/test_columnar_parity.py`` and the crowd-loop regression test).
+``use_columnar`` (``"auto"`` by default). Both share Algorithm 1's control
+flow (the walk, pruning, eviction cascade and tie-breaks) and differ only in
+how the walk obtains ``EAI(w, o)``. The reference engine computes one pair
+per call over the per-object
+:class:`~repro.inference._structures.ObjectStructure` likelihood matrices,
+the shape the equations are written in; it is kept as the parity oracle.
+The columnar engine consumes the TDH EM state as flat slot arrays (``mu``,
+``N_{o,v}``, ``D_o``) plus worker-likelihood case weights over the
+encoding's candidate x candidate cross-join
+(:attr:`~repro.data.columnar.ColumnarClaims.slot_pairs`), cached per
+``records_version``, and computes the measure in blocks:
+
+* **Block kernel.** Each round groups the objects by candidate count
+  ``|Vo|`` and stacks each group's inputs once; one array pass then
+  evaluates Eq. 14-18 for a block of one worker's objects
+  (:func:`_eai_stacked`). A single ``eai()`` call runs the same kernel on a
+  block of one.
+* **Lazy evaluation along the UEAI order.** The walk pops objects in a
+  stable descending sort of UEAI and only asks about objects it has popped.
+  Each worker's values are computed in growing blocks of that order as the
+  walk reaches them, then looked up, so pruning still bounds the kernel's
+  work: ``eai_pairs_computed`` counts the pairs computed, next to the walk's
+  ``eai_evaluations`` lookups.
+* **Bitwise contract.** The kernel applies the reference's operations in the
+  reference's order: elementwise steps, one matrix-vector product per
+  object, reductions along the contiguous last axis, and the expectation
+  accumulated answer by answer. Every value therefore equals the
+  reference's bit for bit, and the engines make identical assignments with
+  identical evaluation counts (``tests/test_columnar_parity.py``, with
+  candidate sets wide enough to reach NumPy's pairwise summation, and the
+  crowd-loop regression test).
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from bisect import bisect_left
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -45,11 +65,15 @@ from ..inference.tdh import TDHResult
 from .base import Assignment, TaskAssigner
 
 
+#: First block of a worker's lazily filled EAI table; later blocks double it.
+_FIRST_BLOCK = 256
+
+
 class _ColumnarEaiState:
     """Flat-array view of everything one ``assign()`` round needs.
 
     ``mu`` / ``numer`` are ``(n_slots,)`` slices of the TDH EM state,
-    ``denom`` / ``mu_max`` / ``ueai`` are per-object, and ``case2`` /
+    ``denom`` / ``mu_max`` are per-object, and ``case2`` /
     ``case3`` are the worker-likelihood case weights per candidate pair
     (see :func:`_worker_case_arrays`). Built by
     :meth:`EAIAssigner._activate_state`; dropped when the result changes.
@@ -110,6 +134,115 @@ class _ColumnarEaiState:
         row = psi[1] * self.case2[start : start + n] + psi[2] * self.case3[start : start + n]
         row[answer_pos] += psi[0]
         return row
+
+    def stacked(self, oids: np.ndarray, n: int) -> Tuple[np.ndarray, ...]:
+        """Kernel inputs of the objects ``oids``, all with ``n`` candidates,
+        one object per row: ``case2``/``case3`` as ``(m, n*n)``,
+        ``mu``/``numer`` as ``(m, n)``, ``denom``/``mu_max`` as ``(m,)``."""
+        cells = self.pair_offsets[oids][:, None] + np.arange(n * n)
+        slots = self.offsets[oids][:, None] + np.arange(n)
+        return (
+            self.case2[cells],
+            self.case3[cells],
+            self.mu[slots],
+            self.numer[slots],
+            self.denom[oids],
+            self.mu_max[oids],
+        )
+
+    def eai(self, oid: int, psi: np.ndarray, n_objects: int) -> float:
+        """``EAI(w, o)`` of one object: the block kernel on a block of one."""
+        n = int(self.sizes[oid])
+        return float(_eai_stacked(n, self.stacked(np.array([oid]), n), psi, n_objects)[0])
+
+
+class _RankedEai:
+    """One round's objects in UEAI rank order, split by candidate count
+    ``|Vo|``, with each group's kernel inputs stacked once per round. A block
+    of ranks ``[lo, hi)`` is then one contiguous slice per group."""
+
+    def __init__(self, state: _ColumnarEaiState, order: np.ndarray, n_objects: int) -> None:
+        self.n_objects = n_objects
+        sizes = state.sizes[order]
+        self.groups = []
+        for n in np.flatnonzero(np.bincount(sizes)):
+            ranks = np.flatnonzero(sizes == n)
+            inputs = state.stacked(order[ranks], int(n))
+            self.groups.append((int(n), ranks, ranks.tolist(), inputs))
+
+    def block(self, psi: np.ndarray, lo: int, hi: int) -> np.ndarray:
+        """``EAI(w, o)`` for one worker over the objects of ranks ``[lo, hi)``."""
+        out = np.empty(hi - lo)
+        for n, ranks, rank_list, inputs in self.groups:
+            a, b = bisect_left(rank_list, lo), bisect_left(rank_list, hi)
+            if a < b:
+                out[ranks[a:b] - lo] = _eai_stacked(
+                    n, [x[a:b] for x in inputs], psi, self.n_objects
+                )
+        return out
+
+
+def _eai_stacked(
+    n: int, inputs: Sequence[np.ndarray], psi: np.ndarray, n_objects: int
+) -> np.ndarray:
+    """``EAI(w, o)`` (Eq. 14-18) for ``m`` objects with ``n`` candidates each,
+    from :meth:`_ColumnarEaiState.stacked` inputs, in one array pass.
+
+    These are the reference engine's per-object operations in the reference's
+    order, stacked along a leading object axis. Every step is elementwise, a
+    per-object matrix-vector product, or a reduction along the contiguous
+    last axis, so each object's value is bitwise the one the reference
+    computes on its own: the likelihood matrices are
+    :meth:`_ColumnarEaiState.likelihood`'s, the row sums are the reference's
+    per-row sums, and the expectation accumulates answer by answer with the
+    reference's skip rule for answers of probability ``<= 0``.
+    """
+    case2, case3, mu, numer, denom, mu_max = inputs
+    m = len(mu)
+    likelihood = psi[1] * case2 + psi[2] * case3
+    likelihood[:, :: n + 1] += psi[0]  # the diagonal u == v
+    likelihood = likelihood.reshape(m, n, n)  # rows = answers u, columns = truths v
+    dist = (likelihood @ mu[:, :, None])[:, :, 0]  # Eq. 6 before normalising
+    total = _row_sum(dist)
+    total_pos = total > 0
+    dist = np.where(
+        total_pos[:, None], dist / np.where(total_pos, total, 1.0)[:, None], 1.0 / n
+    )
+    joint = likelihood * mu[:, None, :]
+    z = _row_sum(joint)
+    z_pos = z > 0
+    posterior = np.where(
+        z_pos[:, :, None], joint / np.where(z_pos, z, 1.0)[:, :, None], mu[:, None, :]
+    )
+    conditional = (numer[:, None, :] + posterior) / (denom + 1.0)[:, None, None]
+    # The reference skips answers of probability <= 0; here they add +0.0,
+    # which leaves the non-negative running sum unchanged.
+    terms = np.where(dist <= 0, 0.0, dist * _row_max(conditional))
+    expected_best = terms[:, 0]
+    for answer_pos in range(1, n):
+        expected_best = expected_best + terms[:, answer_pos]
+    return (expected_best - mu_max) / n_objects
+
+
+def _row_sum(a: np.ndarray) -> np.ndarray:
+    """``a.sum(axis=-1)`` bit for bit. A row of one or two entries sums to
+    the same value in any order, so those skip NumPy's per-row reduction,
+    whose overhead dominates at such widths."""
+    n = a.shape[-1]
+    if n == 1:
+        return a[..., 0]
+    if n == 2:
+        return a[..., 0] + a[..., 1]
+    return a.sum(axis=-1)
+
+
+def _row_max(a: np.ndarray) -> np.ndarray:
+    """``a.max(axis=-1)`` as a running maximum over columns (max does not
+    depend on order), avoiding NumPy's per-row reduction."""
+    best = a[..., 0]
+    for col in range(1, a.shape[-1]):
+        best = np.maximum(best, a[..., col])
+    return best
 
 
 def _worker_case_arrays(
@@ -210,7 +343,11 @@ class EAIAssigner(TaskAssigner):
         self.use_pruning = use_pruning
         self.default_psi = np.asarray(default_psi, dtype=float)
         self.use_columnar = use_columnar
-        self.eai_evaluations = 0  # instrumentation for the Fig 13 bench
+        # Instrumentation for the Fig 13 bench, reset by each assign():
+        # quality-measure lookups, and (worker, object) pairs actually
+        # computed — the lazy tables compute in blocks, so the two differ.
+        self.eai_evaluations = 0
+        self.eai_pairs_computed = 0
         self._state: Optional[_ColumnarEaiState] = None
         # (slot_pairs identity, records_version, ablation flags) -> case
         # arrays; the strong slot_pairs reference keeps the id stable.
@@ -347,10 +484,11 @@ class EAIAssigner(TaskAssigner):
     ) -> float:
         """``EAI(w, o)`` per Eq. (14)-(15)."""
         self.eai_evaluations += 1
+        self.eai_pairs_computed += 1
         n_objects = n_objects if n_objects is not None else len(result.confidences)
         state = self._state_for(result)
         if state is not None:
-            return self._eai_columnar(state, state.index[obj], worker_psi, n_objects)
+            return state.eai(state.index[obj], worker_psi, n_objects)
         mu = result.confidences[obj]
         current_best = float(mu.max())
         answer_probs = self.answer_distribution(result, obj, worker_psi)
@@ -361,48 +499,6 @@ class EAIAssigner(TaskAssigner):
             conditional = self.conditional_confidence(result, obj, worker_psi, answer_pos)
             expected_best += float(p_answer) * float(conditional.max())
         return (expected_best - current_best) / n_objects
-
-    def _eai_columnar(
-        self,
-        state: _ColumnarEaiState,
-        oid: int,
-        worker_psi: np.ndarray,
-        n_objects: int,
-    ) -> float:
-        """``EAI(w, o)`` with every per-answer conditional evaluated at once.
-
-        The likelihood matrix, the answer distribution and all ``|Vo|``
-        conditional confidences are slot-array operations; the only Python
-        loop left is the final scalar expectation, which accumulates in the
-        reference engine's exact order (and skip rule) so both engines agree
-        bit for bit.
-        """
-        start, end = state.offsets[oid], state.offsets[oid + 1]
-        mu = state.mu[start:end]
-        likelihood = state.likelihood(oid, worker_psi)  # rows = answers u
-        dist = likelihood @ mu
-        total = dist.sum()
-        if total > 0:
-            dist = dist / total
-        else:
-            dist = np.full(len(mu), 1.0 / len(mu))
-        joint = likelihood * mu  # broadcast over rows: joint[u, v]
-        z = joint.sum(axis=1)
-        z_pos = z > 0
-        posterior = np.where(
-            z_pos[:, None], joint / np.where(z_pos, z, 1.0)[:, None], mu[None, :]
-        )
-        conditional = (state.numer[start:end][None, :] + posterior) / (
-            state.denom[oid] + 1.0
-        )
-        best = conditional.max(axis=1)
-        expected_best = 0.0
-        for answer_pos in range(len(mu)):
-            p_answer = dist[answer_pos]
-            if p_answer <= 0:
-                continue
-            expected_best += float(p_answer) * float(best[answer_pos])
-        return (expected_best - float(state.mu_max[oid])) / n_objects
 
     @staticmethod
     def ueai(result: TDHResult, obj: ObjectId, n_objects: Optional[int] = None) -> float:
@@ -424,92 +520,101 @@ class EAIAssigner(TaskAssigner):
         if not isinstance(result, TDHResult):
             raise TypeError("EAI requires a TDHResult (it reuses the EM state)")
         self.eai_evaluations = 0
+        self.eai_pairs_computed = 0
         objects = list(result.confidences)
         n_objects = len(objects)
         if not workers or k <= 0 or n_objects == 0:
             return {w: [] for w in workers}
-
-        # Engine selection: a non-None state routes every quality-measure
-        # call below (and any later eai() on the same result, e.g. the
-        # simulator's improvement estimate) through the flat slot arrays.
-        state = self._activate_state(dataset, result)
-        if state is not None:
-            # Lemma 4.1 upper bounds for all objects in one vectorized pass.
-            ueai_all = (1.0 - state.mu_max) / (n_objects * (state.denom + 1.0))
-
-            def ueai_of(obj: ObjectId) -> float:
-                return float(ueai_all[state.index[obj]])
-
-        else:
-
-            def ueai_of(obj: ObjectId) -> float:
-                return self.ueai(result, obj, n_objects)
 
         psi_by_worker = {w: result.worker_psi(w, self.default_psi) for w in workers}
         # Workers in decreasing order of psi_{w,1} (line 3 of Algorithm 1).
         ordered_workers = sorted(
             workers, key=lambda w: float(psi_by_worker[w][0]), reverse=True
         )
-        answered = {
-            w: set(dataset.objects_of_worker(w)) for w in ordered_workers
-        }
 
-        # Max-heap of UEAI over objects (line 1-2); heapq is a min-heap so we
-        # negate. Tie-break on insertion order for determinism.
-        ub_heap: List[Tuple[float, int, ObjectId]] = [
-            (-ueai_of(obj), i, obj) for i, obj in enumerate(objects)
-        ]
-        heapq.heapify(ub_heap)
+        # Engine selection: a non-None state routes the walk's lookups (and
+        # any later eai() on the same result, e.g. the simulator's
+        # improvement estimate) through the flat slot arrays. While a state
+        # exists, `objects` lists the encoding's objects in object-id order.
+        state = self._activate_state(dataset, result)
+        if state is not None:
+            # Lemma 4.1 upper bounds for all objects in one vectorized pass.
+            ueai = (1.0 - state.mu_max) / (n_objects * (state.denom + 1.0))
+        else:
+            ueai = np.array([self.ueai(result, obj, n_objects) for obj in objects])
+        # The walk pops objects in decreasing UEAI, ties in insertion order
+        # (lines 1-2), and addresses them by that rank from here on.
+        order = np.argsort(-ueai, kind="stable")
+        ranked_objects = [objects[i] for i in order.tolist()]
+        bounds = ueai[order].tolist()
 
-        # Per-worker min-heaps of assigned (EAI, seq, object).
-        eai_heaps: Dict[WorkerId, List[Tuple[float, int, ObjectId]]] = {
+        ranked = _RankedEai(state, order, n_objects) if state is not None else None
+
+        def lookup_for(worker: WorkerId) -> Callable[[int], float]:
+            psi = psi_by_worker[worker]
+            if state is None:
+                return lambda rank: self.eai(result, ranked_objects[rank], psi, n_objects)
+            # EAI values by rank, computed in growing blocks as the walk asks
+            # for them: it only asks for popped objects (displaced ones were
+            # popped earlier), so pruning still bounds the kernel work.
+            table: List[float] = []
+
+            def lookup(rank: int) -> float:
+                self.eai_evaluations += 1
+                if rank >= len(table):
+                    lo = len(table)
+                    hi = min(n_objects, max(rank + 1, 2 * lo, _FIRST_BLOCK))
+                    table.extend(ranked.block(psi, lo, hi).tolist())
+                    self.eai_pairs_computed += hi - lo
+                return table[rank]
+
+            return lookup
+
+        # Per-worker min-heaps of assigned (EAI, seq, rank).
+        eai_heaps: Dict[WorkerId, List[Tuple[float, int, int]]] = {
             w: [] for w in ordered_workers
         }
+        lanes = [
+            (set(dataset.objects_of_worker(w)), eai_heaps[w], lookup_for(w))
+            for w in ordered_workers
+        ]
+        pruning = self.use_pruning
         seq = 0
+        n_full = 0  # heaps holding k tasks; a full heap stays full
+        # Lowest worst-assigned EAI over all heaps once every heap is full;
+        # None when not yet known (it can only rise when a heap evicts).
+        floor: Optional[float] = None
 
-        def all_heaps_full() -> bool:
-            return all(len(eai_heaps[w]) >= k for w in ordered_workers)
+        for rank in range(n_objects):
+            upper = bounds[rank]
+            if pruning and n_full == len(eai_heaps):
+                if floor is None:
+                    floor = min(heap[0][0] for heap in eai_heaps.values())
+                if floor >= upper:
+                    break  # no remaining object can beat any assigned one (line 8-9)
 
-        def global_min_eai() -> float:
-            return min(eai_heaps[w][0][0] for w in ordered_workers)
-
-        while ub_heap:
-            neg_ub, _, obj = heapq.heappop(ub_heap)
-            upper = -neg_ub
-            if self.use_pruning and all_heaps_full() and global_min_eai() >= upper:
-                break  # no remaining object can beat any assigned one (line 8-9)
-
-            # Try to place `obj`, cascading displaced objects to later workers.
-            pending: Optional[ObjectId] = obj
-            pending_eai: Optional[float] = None  # not yet computed for a worker
-            for worker in ordered_workers:
-                if pending is None:
-                    break
-                if pending in answered[worker]:
+            # Try to place `rank`, cascading displaced objects to later workers.
+            pending, obj = rank, ranked_objects[rank]
+            for answered, heap, lookup in lanes:
+                if obj in answered:
                     continue
-                heap = eai_heaps[worker]
-                if (
-                    self.use_pruning
-                    and len(heap) >= k
-                    and pending_eai is None
-                    and heap[0][0] >= upper
-                ):
+                if pruning and len(heap) >= k and heap[0][0] >= upper:
                     # This worker's worst task already beats the bound; the
                     # object cannot enter this heap (line 11-12).
                     continue
-                value = self.eai(result, pending, psi_by_worker[worker], n_objects)
+                value = lookup(pending)
                 seq += 1
                 if len(heap) < k:
                     heapq.heappush(heap, (value, seq, pending))
-                    pending = None
-                elif value > heap[0][0]:
-                    _, _, displaced = heapq.heapreplace(heap, (value, seq, pending))
-                    pending = displaced  # reassign the evicted object (line 17)
-                    pending_eai = None
-                    upper = ueai_of(pending)
+                    n_full += len(heap) == k
+                    break
+                if value > heap[0][0]:
+                    # Reassign the evicted object (line 17).
+                    _, _, pending = heapq.heapreplace(heap, (value, seq, pending))
+                    obj, upper, floor = ranked_objects[pending], bounds[pending], None
                 # else: try the next worker with the same object
 
         return {
-            w: [obj for _, _, obj in sorted(eai_heaps[w], reverse=True)]
+            w: [ranked_objects[r] for _, _, r in sorted(eai_heaps[w], reverse=True)]
             for w in ordered_workers
         }

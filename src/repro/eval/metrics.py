@@ -76,6 +76,9 @@ def evaluate(
     """
     gold = gold if gold is not None else dataset.gold
     hierarchy = dataset.hierarchy
+    # One bulk read: a lazy mapping (e.g. a columnar result's truths) pays
+    # per-key work on single reads but materialises once through items().
+    estimated = dict(estimated.items())
     n = 0
     exact = 0
     generalized = 0

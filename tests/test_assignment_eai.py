@@ -157,6 +157,22 @@ class TestAlgorithm1:
         brute.assign(dataset, result, workers, 5)
         assert pruned.eai_evaluations < brute.eai_evaluations
 
+    def test_pruning_reduces_computed_pairs(self):
+        """On the columnar engine the walk reads EAI values off per-worker
+        tables filled in blocks along the UEAI order; pruning must still
+        cut the pairs the kernel computes, without changing the outcome."""
+        dataset = make_birthplaces(size=1200, seed=7)
+        result = TDHModel(max_iter=15, tol=1e-4, use_columnar=True).fit(dataset)
+        workers = [w.worker_id for w in make_worker_pool(10, seed=3)]
+        pruned = EAIAssigner(use_pruning=True, use_columnar=True)
+        brute = EAIAssigner(use_pruning=False, use_columnar=True)
+        assert pruned.assign(dataset, result, workers, 5) == brute.assign(
+            dataset, result, workers, 5
+        )
+        assert brute.eai_pairs_computed == len(workers) * len(dataset.objects)
+        assert 0 < pruned.eai_pairs_computed < brute.eai_pairs_computed
+        assert pruned.eai_evaluations <= pruned.eai_pairs_computed
+
     def test_requires_tdh_result(self, fitted, assigner):
         from repro import Vote
 

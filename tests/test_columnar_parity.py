@@ -66,9 +66,18 @@ DATASETS = {
 }
 
 
+#: Wider candidate sets than DATASETS reach (|Vo| from 5 to 13), for the
+#: EAI kernel: past 8 entries NumPy's pairwise summation changes its order.
+WIDE_DATASETS = {
+    "wide-heritages": lambda: _with_answers(
+        make_heritages(size=150, n_sources=300, seed=2, mean_sources_per_object=40.0)
+    ),
+}
+
+
 @pytest.fixture(scope="module", params=sorted(DATASETS))
 def dataset(request):
-    return DATASETS[request.param]()
+    return {**DATASETS, **WIDE_DATASETS}[request.param]()
 
 
 @pytest.mark.parametrize("algo", sorted(ALGORITHMS))
@@ -210,28 +219,35 @@ def _fit_tdh(dataset, engine):
     return _TDH(max_iter=10, tol=1e-5, use_columnar=engine).fit(dataset)
 
 
+@pytest.mark.parametrize(
+    "dataset", sorted(DATASETS) + sorted(WIDE_DATASETS), indirect=True
+)
 def test_eai_assignment_parity(dataset):
     """Both EAI engines produce identical assignments, identical pruning
-    behaviour (evaluation counts) and 1e-8-close quality values, whichever
-    engine produced the TDH result they consume."""
+    behaviour (evaluation counts) and bitwise-equal quality values for
+    every object, every worker's psi and a never-seen worker's default psi,
+    with and without pruning, whichever engine produced the TDH result."""
     from repro.assignment import EAIAssigner
     from repro.crowd.workers import make_worker_pool
 
     workers = [w.worker_id for w in make_worker_pool(6, seed=2)]
     for fit_engine in (False, True):
         result = _fit_tdh(dataset, fit_engine)
-        reference = EAIAssigner(use_columnar=False)
-        columnar = EAIAssigner(use_columnar=True)
-        assert reference.assign(dataset, result, workers, 5) == columnar.assign(
-            dataset, result, workers, 5
-        )
-        assert reference.eai_evaluations == columnar.eai_evaluations
-        psi = result.worker_psi(workers[0], reference.default_psi)
-        columnar._activate_state(dataset, result)
-        for obj in dataset.objects[:40]:
-            assert columnar.eai(result, obj, psi) == pytest.approx(
-                reference.eai(result, obj, psi), abs=1e-8
+        for use_pruning in (True, False):
+            reference = EAIAssigner(use_pruning=use_pruning, use_columnar=False)
+            columnar = EAIAssigner(use_pruning=use_pruning, use_columnar=True)
+            assert reference.assign(dataset, result, workers, 5) == columnar.assign(
+                dataset, result, workers, 5
             )
+            assert reference.eai_evaluations == columnar.eai_evaluations
+        assert columnar._state_for(result) is not None
+        psis = [result.worker_psi(w, reference.default_psi) for w in result.psi]
+        psis.append(result.worker_psi("never_seen_worker", reference.default_psi))
+        for psi in psis:
+            for obj in dataset.objects:
+                assert columnar.eai(result, obj, psi) == reference.eai(result, obj, psi)
+        psi = psis[0]
+        for obj in dataset.objects[:40]:
             for answer_pos in range(len(result.confidences[obj])):
                 np.testing.assert_allclose(
                     columnar.conditional_confidence(result, obj, psi, answer_pos),

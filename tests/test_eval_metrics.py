@@ -1,9 +1,11 @@
 """Tests for the Section-5 quality measures."""
 
+import numpy as np
 import pytest
 
 from repro import Hierarchy, Record, TruthDiscoveryDataset
 from repro.eval import EvaluationReport, effective_truth, evaluate, source_accuracy
+from repro.inference.base import LazyTruths
 
 
 @pytest.fixture()
@@ -44,6 +46,19 @@ class TestEffectiveTruth:
         assert effective_truth(dataset, "o3", "London") is None
 
 
+def _lazy_truths(dataset, estimates):
+    """The columnar results' lazy ``object -> truth`` view of ``estimates``:
+    confidence 1 on each estimate's slot, 0 elsewhere."""
+    col = dataset.columnar()
+    flat = np.array(
+        [
+            float(col.values[col.slot_vid[slot]] == estimates[col.objects[col.slot_obj[slot]]])
+            for slot in range(col.n_slots)
+        ]
+    )
+    return LazyTruths(col, flat)
+
+
 class TestEvaluate:
     def test_perfect_estimates(self, dataset):
         estimates = {"o1": "NYC", "o2": "LA", "o3": "NY"}
@@ -63,6 +78,8 @@ class TestEvaluate:
     def test_wrong_estimate_distance(self, dataset):
         estimates = {"o1": "NYC", "o2": "London", "o3": "NY"}
         report = evaluate(dataset, estimates)
+        # A lazy columnar truths view scores exactly like the plain dict.
+        assert evaluate(dataset, _lazy_truths(dataset, estimates)) == report
         assert report.accuracy == pytest.approx(2 / 3)
         # LA -> London: LA-USA-root-UK-London = 4 edges.
         assert report.avg_distance == pytest.approx(4 / 3)
