@@ -128,8 +128,8 @@ def pair_splice_report(appender_report, merge_bench_artifact):
     from repro.data.columnar import PairExpansion
 
     # 4x the appender scale: the splice's advantage is asymptotic (it
-    # removes the O(pairs log pairs) np.unique), so it is measured at the
-    # size the sharding benchmark also uses.
+    # removes the O(pairs log pairs) np.unique), so it is measured on
+    # 20,000 objects rather than 5,000.
     dataset = make_birthplaces(size=4 * N_OBJECTS, seed=7)
     rng = np.random.default_rng(2)
     simulate_round(dataset, rng, round_seed=13)  # worker panel becomes known

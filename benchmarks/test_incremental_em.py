@@ -2,8 +2,8 @@
 incremental inference benchmark.
 
 Two measurements feed the ``incremental`` section of ``BENCH_columnar.json``
-(merged into the existing report — the speedup/appender/sharding benchmarks
-own the other keys). First, a crowd-round-shaped delta (~50 answers from a
+(merged into the existing report — the speedup/appender benchmarks own the
+other keys). First, a crowd-round-shaped delta (~50 answers from a
 small worker panel) lands on a 5,000-object dataset, and the warm-started
 ``fit(dataset, warm_start=prev)`` that re-converges only the dirty frontier
 is timed against the cold columnar fit of the identical final state, for TDH

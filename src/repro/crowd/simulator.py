@@ -16,11 +16,9 @@ each round are spliced in by the incremental appender
 (:class:`~repro.data.columnar.ColumnarAppender`, transparently via
 ``dataset.columnar()``), and the EAI assigner reuses the columnar TDH EM
 state plus per-``records_version`` likelihood tables across rounds — no
-per-round O(claims) rebuild anywhere. A model built with ``n_jobs > 1``
-(see :mod:`repro.data.sharding`) additionally fans each round's E/M steps
-out over object-range shards; the simulator needs no knob of its own —
-the sharded fits are bitwise-identical, so the assignment log and metric
-series are unchanged at any worker count.
+per-round O(claims) rebuild anywhere. A superseded encoding holds no
+reference back to itself, so each round's predecessor is freed by
+reference counting as soon as the round drops it.
 """
 
 from __future__ import annotations

@@ -15,13 +15,6 @@ from .model import (
     Record,
     TruthDiscoveryDataset,
 )
-from .sharding import (
-    ColumnarShard,
-    ColumnarShards,
-    ParallelExecutor,
-    parallel_plan,
-    resolve_jobs,
-)
 
 __all__ = [
     "Record",
@@ -35,9 +28,4 @@ __all__ = [
     "StaleEncodingError",
     "resolve_engine",
     "AUTO_MIN_CLAIMS",
-    "ColumnarShard",
-    "ColumnarShards",
-    "ParallelExecutor",
-    "parallel_plan",
-    "resolve_jobs",
 ]

@@ -603,12 +603,16 @@ class SegmentOps:
     """Per-object segment primitives over a candidate-slot CSR layout.
 
     Shared by :class:`ColumnarClaims` (the whole dataset) and
-    :class:`~repro.data.sharding.ColumnarShard` (a contiguous object range):
-    any class exposing ``value_offsets`` / ``sizes`` / ``slot_obj`` (plus
-    ``claim_slot`` / ``claim_claimant`` for the claim-level helper) in local
-    coordinates gets the same normalize / argmax / softmax / weighted-vote
-    reductions, so shard kernels run the exact array operations of the
-    unsharded path on their slice.
+    :class:`FrontierView` (an object subset): any class exposing
+    ``value_offsets`` / ``sizes`` / ``slot_obj`` (plus ``claim_slot`` /
+    ``claim_claimant`` for the claim-level helper) in its own coordinates
+    gets the same normalize / argmax / softmax / weighted-vote reductions.
+    Each algorithm's E-step kernel (e.g.
+    ``repro.inference.tdh._tdh_estep_kernel``) is written once against this
+    surface plus the pair arrays (``pair_claim`` / ``pair_slot`` /
+    ``pair_size`` / ``pair_is_claimed`` / ``cell_index`` / ``total_index``)
+    that both classes expose, so full and incremental fits run the same
+    kernel body.
     """
 
     value_offsets: np.ndarray
@@ -675,18 +679,15 @@ class SegmentOps:
 class FrontierView(SegmentOps):
     """Local-coordinate view of an arbitrary (sorted) object subset.
 
-    Where :class:`~repro.data.sharding.ColumnarShard` slices a *contiguous*
-    object range, a frontier is scattered across the corpus — so this view
-    gathers the subset's slot and claim rows into dense local arrays and
-    remembers the global indices (:attr:`slot_ids` / :attr:`claim_ids`) to
-    scatter results back. It exposes the same :class:`SegmentOps` surface
-    plus the pair-level arrays the EM kernels consume, which lets the
-    incremental fits run the *unmodified* shard kernels
-    (``_tdh_estep_kernel``, ``_confusion_estep_kernel``,
-    ``_zencrowd_estep_kernel``) over just the frontier: ``slot_lo``/
-    ``slot_hi`` span the whole local array, ``claim_claimant`` stays global
-    (trust/reliability vectors are indexed by global claimant id), and
-    everything segment-shaped is local.
+    A frontier is scattered across the corpus, so this view gathers the
+    subset's slot and claim rows into dense local arrays and remembers the
+    global indices (:attr:`slot_ids` / :attr:`claim_ids`) to scatter
+    results back. It exposes the same :class:`SegmentOps` surface and pair
+    arrays as :class:`ColumnarClaims`, which lets the incremental fits run
+    the E-step kernels the full fits run (``_tdh_estep_kernel``,
+    ``_confusion_estep_kernel``, ``_zencrowd_estep_kernel``) over just the
+    frontier: ``claim_claimant`` stays global (trust/reliability vectors are
+    indexed by global claimant id), and everything segment-shaped is local.
 
     The per-claim candidate cross-join is rebuilt locally in O(frontier
     pairs); the confusion-cell ids (:attr:`cell_index` / :attr:`total_index`)
@@ -726,8 +727,6 @@ class FrontierView(SegmentOps):
         self.pair_size = sizes_per_claim[self.pair_claim].astype(np.float64)
         self.pair_is_claimed = self.pair_slot == self.claim_slot[self.pair_claim]
 
-        self.slot_lo = 0
-        self.slot_hi = int(self.value_offsets[-1])
         self._pair_rows: Optional[np.ndarray] = None
         self._cell_index: Optional[np.ndarray] = None
         self._total_index: Optional[np.ndarray] = None
@@ -933,6 +932,32 @@ class ColumnarClaims(SegmentOps):
             self._pairs = PairExpansion(self)
         return self._pairs
 
+    # The pair arrays of :class:`FrontierView`, read through from
+    # :attr:`pairs` (no copies), so one E-step kernel body serves both.
+    @property
+    def pair_claim(self) -> np.ndarray:
+        return self.pairs.pair_claim
+
+    @property
+    def pair_slot(self) -> np.ndarray:
+        return self.pairs.pair_slot
+
+    @property
+    def pair_size(self) -> np.ndarray:
+        return self.pairs.pair_size
+
+    @property
+    def pair_is_claimed(self) -> np.ndarray:
+        return self.pairs.pair_is_claimed
+
+    @property
+    def cell_index(self) -> np.ndarray:
+        return self.pairs.cell_index
+
+    @property
+    def total_index(self) -> np.ndarray:
+        return self.pairs.total_index
+
     @property
     def slot_pairs(self) -> "SlotPairExpansion":
         """The candidate x candidate expansion, built on first use and cached."""
@@ -1006,18 +1031,6 @@ class ColumnarClaims(SegmentOps):
         if self._hierarchy is None:
             self._hierarchy = ColumnarHierarchy(self, self._tree, tour=self._tour_hint)
         return self._hierarchy
-
-    def shards(self, k: int) -> "object":
-        """The :class:`~repro.data.sharding.ColumnarShards` partition of this
-        encoding into ``k`` contiguous object ranges, built once per ``k`` and
-        cached (encodings are immutable snapshots, so caching is safe)."""
-        from .sharding import ColumnarShards
-
-        cache = self.__dict__.setdefault("_shards_cache", {})
-        shards = cache.get(k)
-        if shards is None:
-            shards = cache[k] = ColumnarShards(self, k)
-        return shards
 
     def assert_fresh(self, dataset: "TruthDiscoveryDataset") -> None:
         """Raise :class:`StaleEncodingError` if ``dataset`` mutated since build.

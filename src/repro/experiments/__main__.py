@@ -37,18 +37,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help=(
-            "worker count for the sharded parallel E/M executor (columnar"
-            " engine only; TDH/LFC/CRH everywhere they run, DS/ZENCROWD in"
-            " table3x). -1 uses every core; results are bitwise-identical"
-            " at any N"
-        ),
-    )
-    parser.add_argument(
         "--incremental",
         action="store_true",
         help=(
@@ -76,8 +64,6 @@ def main(argv=None) -> int:
         parameters = inspect.signature(entry).parameters
         if "engine" in parameters:
             kwargs["engine"] = args.engine
-        if "jobs" in parameters:
-            kwargs["jobs"] = args.jobs
         if "incremental" in parameters:
             kwargs["incremental"] = args.incremental
         entry(**kwargs)

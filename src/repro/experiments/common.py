@@ -96,28 +96,22 @@ def both_datasets(s: ExperimentScale) -> Dict[str, TruthDiscoveryDataset]:
 # algorithm registries (the paper's Section 5.1 lists)
 # ---------------------------------------------------------------------------
 def inference_factories(
-    s: ExperimentScale, engine: str = "auto", n_jobs: int = 1,
-    incremental: bool = False,
+    s: ExperimentScale, engine: str = "auto", incremental: bool = False
 ) -> Dict[str, Callable[[], TruthInferenceAlgorithm]]:
     """The ten single-truth inference algorithms of Table 3.
 
     ``engine`` (``"auto"`` / ``"reference"`` / ``"columnar"``) selects the
     execution engine for the algorithms that ship a columnar fast path —
     all of them except MDC; see ``docs/algorithms.md`` for the matrix.
-    ``n_jobs`` (the CLI's ``--jobs``) additionally shards the columnar E/M
-    steps of the parallel-capable algorithms (TDH, LFC, CRH here; DS and
-    ZENCROWD in the Table-3-extended set) over that many workers — results
-    are bitwise-identical at any worker count. ``incremental`` (the CLI's
-    ``--incremental``) turns on dirty-frontier warm-started EM for the
-    algorithms that support it (TDH and LFC here): each crowd round
-    re-converges only the objects touched by new answers.
+    ``incremental`` (the CLI's ``--incremental``) turns on dirty-frontier
+    warm-started EM for the algorithms that support it (TDH and LFC here):
+    each crowd round re-converges only the objects touched by new answers.
     """
     iters = s.em_iterations
     tol = s.em_tol
     return {
         "TDH": lambda: TDHModel(
-            max_iter=iters, tol=tol, use_columnar=engine, n_jobs=n_jobs,
-            incremental=incremental,
+            max_iter=iters, tol=tol, use_columnar=engine, incremental=incremental
         ),
         "VOTE": lambda: Vote(use_columnar=engine),
         "LCA": lambda: GuessLca(max_iter=iters, tol=tol, use_columnar=engine),
@@ -129,12 +123,10 @@ def inference_factories(
             max_iter=min(iters, 15), tol=tol, use_columnar=engine
         ),
         "LFC": lambda: Lfc(
-            max_iter=min(iters, 20), tol=tol, use_columnar=engine, n_jobs=n_jobs,
+            max_iter=min(iters, 20), tol=tol, use_columnar=engine,
             incremental=incremental,
         ),
-        "CRH": lambda: Crh(
-            max_iter=min(iters, 20), tol=tol, use_columnar=engine, n_jobs=n_jobs
-        ),
+        "CRH": lambda: Crh(max_iter=min(iters, 20), tol=tol, use_columnar=engine),
     }
 
 
@@ -183,20 +175,17 @@ def make_combo(
     assigner: str,
     s: ExperimentScale,
     engine: str = "auto",
-    n_jobs: int = 1,
     incremental: bool = False,
 ) -> tuple[TruthInferenceAlgorithm, TaskAssigner]:
     """Instantiate an inference+assignment pair by name.
 
     ``engine`` selects the execution engine for both sides of the combo
     (inference fast paths and the EAI/QASCA columnar quality measures), so
-    a whole crowdsourcing run stays on one encoding; ``n_jobs`` shards the
-    parallel-capable inference E/M steps across workers; ``incremental``
+    a whole crowdsourcing run stays on one encoding; ``incremental``
     switches the supporting models to dirty-frontier warm-started rounds.
     """
-    model = inference_factories(
-        s, engine=engine, n_jobs=n_jobs, incremental=incremental
-    )[inference]()
+    factories = inference_factories(s, engine=engine, incremental=incremental)
+    model = factories[inference]()
     task_assigner = assigner_factories(engine)[assigner]()
     return model, task_assigner
 

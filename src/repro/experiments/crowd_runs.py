@@ -22,20 +22,17 @@ def run_combo(
     answer_seed: int = 5,
     evaluate_every: int = 1,
     engine: str = "auto",
-    jobs: int = 1,
     incremental: bool = False,
 ) -> SimulationHistory:
     """Run one inference+assignment combo through the crowdsourcing loop.
 
-    ``engine`` / ``jobs`` thread the execution-engine and E/M-sharding
-    choices into the combo, so the whole simulated crowd run stays on one
-    live encoding and (for parallel-capable algorithms) fans its EM rounds
-    out over ``jobs`` workers; ``incremental`` makes the supporting models
-    re-converge only each round's dirty frontier.
+    ``engine`` threads the execution-engine choice into the combo, so the
+    whole simulated crowd run stays on one live encoding; ``incremental``
+    makes the supporting models re-converge only each round's dirty
+    frontier.
     """
     model, task_assigner = make_combo(
-        inference, assigner, s, engine=engine, n_jobs=jobs,
-        incremental=incremental,
+        inference, assigner, s, engine=engine, incremental=incremental
     )
     panel = (
         list(workers)

@@ -30,7 +30,7 @@ FIG12_COMBOS = (
 
 
 def run(
-    full: bool = False, rounds: int = 5, engine: str = "auto", jobs: int = 1
+    full: bool = False, rounds: int = 5, engine: str = "auto"
 ) -> Dict[str, List[dict]]:
     """``engine`` selects the inference execution path for the algorithms
     with a columnar fast path (``reference`` / ``columnar`` / ``auto``)."""
@@ -47,7 +47,6 @@ def run(
                 rounds=rounds,
                 evaluate_every=1,
                 engine=engine,
-                jobs=jobs,
             )
             records = history.records[1:]
             inf_time = sum(r.inference_seconds for r in records) / len(records)
@@ -65,8 +64,8 @@ def run(
     return out
 
 
-def main(full: bool = False, engine: str = "auto", jobs: int = 1) -> None:
-    results = run(full, engine=engine, jobs=jobs)
+def main(full: bool = False, engine: str = "auto") -> None:
+    results = run(full, engine=engine)
     for ds_name, rows in results.items():
         print(
             format_table(

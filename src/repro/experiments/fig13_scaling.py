@@ -29,7 +29,6 @@ def run(
     full: bool = False,
     factors: Sequence[int] | None = None,
     engine: str = "auto",
-    jobs: int = 1,
 ) -> Dict[str, List[dict]]:
     s = scale(full)
     factors = factors if factors is not None else ((5, 10, 15) if full else (1, 2, 4))
@@ -44,12 +43,11 @@ def run(
                 max_iter=min(s.em_iterations, 15),
                 tol=s.em_tol,
                 use_columnar=engine,
-                n_jobs=jobs,
             )
             result = model.fit(scaled)
 
             crh = Crh(max_iter=min(s.em_iterations, 20), tol=s.em_tol,
-                      use_columnar=engine, n_jobs=jobs)
+                      use_columnar=engine)
             t0 = time.perf_counter()
             crh.fit(scaled)
             crh_time = time.perf_counter() - t0
@@ -84,8 +82,8 @@ def run(
     return out
 
 
-def main(full: bool = False, engine: str = "auto", jobs: int = 1) -> None:
-    results = run(full, engine=engine, jobs=jobs)
+def main(full: bool = False, engine: str = "auto") -> None:
+    results = run(full, engine=engine)
     for ds_name, rows in results.items():
         print(
             format_table(

@@ -18,13 +18,13 @@ COMBOS = (("TDH", "EAI"), ("LCA", "ME"), ("DOCS", "MB"), ("DOCS", "QASCA"))
 METRICS = ("accuracy", "gen_accuracy", "avg_distance")
 
 
-def run(full: bool = False, rounds: int = 20, engine: str = "auto", jobs: int = 1) -> Dict[str, dict]:
+def run(full: bool = False, rounds: int = 20, engine: str = "auto") -> Dict[str, dict]:
     s = scale(full)
     panel = make_human_panel(10, seed=17)
     out: Dict[str, dict] = {}
     for ds_name, dataset in both_datasets(s).items():
         histories = run_combos(
-            dataset, COMBOS, s, workers=panel, rounds=rounds, engine=engine, jobs=jobs
+            dataset, COMBOS, s, workers=panel, rounds=rounds, engine=engine
         )
         data: Dict[str, dict] = {
             "rounds": [r.round for r in next(iter(histories.values())).records]
@@ -37,8 +37,8 @@ def run(full: bool = False, rounds: int = 20, engine: str = "auto", jobs: int = 
     return out
 
 
-def main(full: bool = False, engine: str = "auto", jobs: int = 1) -> None:
-    results = run(full, engine=engine, jobs=jobs)
+def main(full: bool = False, engine: str = "auto") -> None:
+    results = run(full, engine=engine)
     figure_no = {"accuracy": 14, "gen_accuracy": 15, "avg_distance": 16}
     for ds_name, data in results.items():
         rounds = data["rounds"]

@@ -16,11 +16,11 @@ from ..inference import Asums, TDHModel
 from .common import format_table, load_birthplaces, scale
 
 
-def run(full: bool = False, engine: str = "auto", jobs: int = 1) -> List[dict]:
+def run(full: bool = False, engine: str = "auto") -> List[dict]:
     s = scale(full)
     dataset = load_birthplaces(s)
     tdh = TDHModel(
-        max_iter=s.em_iterations, tol=s.em_tol, use_columnar=engine, n_jobs=jobs
+        max_iter=s.em_iterations, tol=s.em_tol, use_columnar=engine
     ).fit(dataset)
     asums_result = Asums(max_iter=s.em_iterations, use_columnar=engine).fit(dataset)
     trust = asums_result.trust  # type: ignore[attr-defined]
@@ -44,8 +44,8 @@ def run(full: bool = False, engine: str = "auto", jobs: int = 1) -> List[dict]:
     return rows
 
 
-def main(full: bool = False, engine: str = "auto", jobs: int = 1) -> None:
-    rows = run(full, engine=engine, jobs=jobs)
+def main(full: bool = False, engine: str = "auto") -> None:
+    rows = run(full, engine=engine)
     print(
         format_table(
             rows,

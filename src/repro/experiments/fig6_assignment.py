@@ -15,8 +15,7 @@ ASSIGNERS = ("EAI", "QASCA", "ME")
 
 
 def run(
-    full: bool = False, engine: str = "auto", jobs: int = 1,
-    incremental: bool = False,
+    full: bool = False, engine: str = "auto", incremental: bool = False
 ) -> Dict[str, Dict[str, list]]:
     """Per dataset: {"rounds": [...], "TDH+EAI": [accuracy...], ...}."""
     s = scale(full)
@@ -24,7 +23,7 @@ def run(
     for ds_name, dataset in both_datasets(s).items():
         histories = run_combos(
             dataset, [("TDH", a) for a in ASSIGNERS], s, engine=engine,
-            jobs=jobs, incremental=incremental,
+            incremental=incremental,
         )
         series: Dict[str, list] = {}
         rounds = None
@@ -36,10 +35,9 @@ def run(
 
 
 def main(
-    full: bool = False, engine: str = "auto", jobs: int = 1,
-    incremental: bool = False,
+    full: bool = False, engine: str = "auto", incremental: bool = False
 ) -> None:
-    results = run(full, engine=engine, jobs=jobs, incremental=incremental)
+    results = run(full, engine=engine, incremental=incremental)
     for ds_name, data in results.items():
         rounds = data.pop("rounds")
         shown = {k: v[::5] for k, v in data.items()}

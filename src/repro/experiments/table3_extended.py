@@ -24,10 +24,9 @@ from ..inference import (
 from .common import both_datasets, format_table, inference_factories, scale
 
 
-def extra_factories(s, engine: str = "auto", n_jobs: int = 1) -> Dict[str, object]:
-    """``engine`` / ``n_jobs`` reach the two extended algorithms with a
-    columnar (and parallel-capable) engine: DS and ZENCROWD; the
-    link-analysis family is reference-only."""
+def extra_factories(s, engine: str = "auto") -> Dict[str, object]:
+    """``engine`` reaches the two extended algorithms with a columnar
+    engine: DS and ZENCROWD; the link-analysis family is reference-only."""
     iters = min(s.em_iterations, 20)
     return {
         "SUMS": lambda: Sums(max_iter=iters),
@@ -35,15 +34,15 @@ def extra_factories(s, engine: str = "auto", n_jobs: int = 1) -> Dict[str, objec
         "INVEST": lambda: Investment(max_iter=iters),
         "POOLED": lambda: PooledInvestment(max_iter=iters),
         "TRUTHFINDER": lambda: TruthFinder(max_iter=iters),
-        "DS": lambda: DawidSkene(max_iter=iters, use_columnar=engine, n_jobs=n_jobs),
-        "ZENCROWD": lambda: ZenCrowd(max_iter=iters, use_columnar=engine, n_jobs=n_jobs),
+        "DS": lambda: DawidSkene(max_iter=iters, use_columnar=engine),
+        "ZENCROWD": lambda: ZenCrowd(max_iter=iters, use_columnar=engine),
     }
 
 
-def run(full: bool = False, engine: str = "auto", jobs: int = 1) -> Dict[str, List[dict]]:
+def run(full: bool = False, engine: str = "auto") -> Dict[str, List[dict]]:
     s = scale(full)
-    factories = dict(inference_factories(s, engine=engine, n_jobs=jobs))
-    factories.update(extra_factories(s, engine=engine, n_jobs=jobs))
+    factories = dict(inference_factories(s, engine=engine))
+    factories.update(extra_factories(s, engine=engine))
     out: Dict[str, List[dict]] = {}
     for ds_name, dataset in both_datasets(s).items():
         rows = []
@@ -56,8 +55,8 @@ def run(full: bool = False, engine: str = "auto", jobs: int = 1) -> Dict[str, Li
     return out
 
 
-def main(full: bool = False, engine: str = "auto", jobs: int = 1) -> None:
-    results = run(full, engine=engine, jobs=jobs)
+def main(full: bool = False, engine: str = "auto") -> None:
+    results = run(full, engine=engine)
     for ds_name, rows in results.items():
         print(
             format_table(

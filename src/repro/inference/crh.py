@@ -11,28 +11,28 @@ class serves Table 3 (categorical) and Table 6 (numeric).
 from __future__ import annotations
 
 import math
-from typing import Dict, Hashable, Mapping, Optional, Union
+from typing import Dict, Hashable, Mapping, Union
 
 import numpy as np
 
 from ..data.columnar import resolve_engine
 from ..data.model import ObjectId, TruthDiscoveryDataset
-from ..data.sharding import ColumnarShards, parallel_plan
 from .base import ColumnarInferenceResult, InferenceResult, TruthInferenceAlgorithm
 
 
-def _crh_step_kernel(shard, consts, state):
-    """One CRH truth step + 0-1 loss evaluation over one shard.
+def _crh_step_kernel(ops, weights):
+    """One CRH truth step + 0-1 loss evaluation over ``ops`` (a
+    :class:`~repro.data.columnar.SegmentOps` with a claim table).
 
-    The weighted vote, the per-object normalize/argmax and the per-claim
-    loss are all shard-local; the per-claimant loss reduction runs globally
-    on the concatenated per-claim ``wrong`` flags (claimants span shards).
-    Returns ``(confidences_slice, wrong_per_claim)``.
+    Computes the weighted vote under the per-claimant ``weights``, the
+    per-object normalize/argmax and the per-claim loss; the caller reduces
+    the per-claim ``wrong`` flags per claimant. Returns
+    ``(confidences, wrong_per_claim)``.
     """
-    scores = shard.weighted_counts(state["weights"])
-    flat_conf = shard.segment_normalize(scores)
-    truth_slot = shard.segment_argmax_slot(scores)
-    wrong = (shard.claim_slot != truth_slot[shard.claim_obj]).astype(np.float64)
+    scores = ops.weighted_counts(weights)
+    flat_conf = ops.segment_normalize(scores)
+    truth_slot = ops.segment_argmax_slot(scores)
+    wrong = (ops.claim_slot != truth_slot[ops.claim_obj]).astype(np.float64)
     return flat_conf, wrong
 
 
@@ -43,9 +43,7 @@ class Crh(TruthInferenceAlgorithm):
     the vectorized engine, where both CRH steps collapse to ``np.bincount``
     calls over the flat claim table: the weighted vote scatters claimant
     weights onto candidate slots, and the 0-1 loss step compares each claim's
-    slot against the per-object argmax slot. ``n_jobs`` / ``shards`` /
-    ``parallel_backend`` run the vectorized steps over object-range shards
-    with bitwise-identical results (see :mod:`repro.data.sharding`).
+    slot against the per-object argmax slot.
     """
 
     name = "CRH"
@@ -56,16 +54,10 @@ class Crh(TruthInferenceAlgorithm):
         max_iter: int = 30,
         tol: float = 1e-4,
         use_columnar: Union[bool, str] = "auto",
-        n_jobs: int = 1,
-        shards: Optional[int] = None,
-        parallel_backend: str = "thread",
     ) -> None:
         self.max_iter = max_iter
         self.tol = tol
         self.use_columnar = use_columnar
-        self.n_jobs = n_jobs
-        self.shards = shards
-        self.parallel_backend = parallel_backend
 
     def fit(self, dataset: TruthDiscoveryDataset) -> InferenceResult:
         if resolve_engine(self.use_columnar, dataset):
@@ -74,37 +66,31 @@ class Crh(TruthInferenceAlgorithm):
 
     def _fit_columnar(self, dataset: TruthDiscoveryDataset) -> InferenceResult:
         col = dataset.columnar()
-        shards, executor = parallel_plan(
-            col, self.n_jobs, self.shards, self.parallel_backend
-        )
         weights = np.ones(col.n_claimants, dtype=np.float64)
         counts = col.claimant_counts()
         flat_conf = np.zeros(col.n_slots, dtype=np.float64)
         iterations = 0
         converged = False
 
-        with executor.session(shards) as sess:
-            for iterations in range(1, self.max_iter + 1):
-                # Truth step per shard: weighted vote + per-object argmax,
-                # then 0-1 loss per claim against the current truths.
-                parts = sess.map(_crh_step_kernel, {"weights": weights})
-                flat_conf = ColumnarShards.concat([p[0] for p in parts])
-                wrong = ColumnarShards.concat([p[1] for p in parts])
-                # Weight step: global per-claimant loss reduction.
-                losses = np.bincount(
-                    col.claim_claimant, weights=wrong, minlength=col.n_claimants
-                )
-                ratios = (losses + 0.5) / (counts + 1.0)
-                new_weights = -np.log(ratios / ratios.sum())
-                delta = (
-                    float(np.max(np.abs(new_weights - weights)))
-                    if col.n_claimants
-                    else 0.0
-                )
-                weights = new_weights
-                if delta < self.tol:
-                    converged = True
-                    break
+        for iterations in range(1, self.max_iter + 1):
+            # Truth step: weighted vote + per-object argmax, then 0-1 loss
+            # per claim against the current truths.
+            flat_conf, wrong = _crh_step_kernel(col, weights)
+            # Weight step: per-claimant loss reduction.
+            losses = np.bincount(
+                col.claim_claimant, weights=wrong, minlength=col.n_claimants
+            )
+            ratios = (losses + 0.5) / (counts + 1.0)
+            new_weights = -np.log(ratios / ratios.sum())
+            delta = (
+                float(np.max(np.abs(new_weights - weights)))
+                if col.n_claimants
+                else 0.0
+            )
+            weights = new_weights
+            if delta < self.tol:
+                converged = True
+                break
         result = ColumnarInferenceResult(dataset, col, flat_conf, iterations, converged)
         result.source_weights = col.claimant_mapping(weights)  # type: ignore[attr-defined]
         return result

@@ -30,7 +30,6 @@ import numpy as np
 
 from ..data.columnar import FrontierView, incremental_frontier, resolve_engine
 from ..data.model import ObjectId, TruthDiscoveryDataset
-from ..data.sharding import ColumnarShards, parallel_plan
 from ..hierarchy.tree import Value
 from .base import (
     ColumnarInferenceResult,
@@ -48,51 +47,49 @@ def _claims_of(dataset: TruthDiscoveryDataset, obj: ObjectId) -> Dict[Hashable, 
     return claims
 
 
-def _confusion_estep_kernel(shard, consts, state):
-    """Confusion-matrix E-step over one object-range shard.
+def _confusion_estep_kernel(ops, mu, cells, totals, smoothing, with_prior):
+    """Confusion-matrix E-step over ``ops``: the whole
+    :class:`~repro.data.columnar.ColumnarClaims` or a
+    :class:`~repro.data.columnar.FrontierView` of it.
 
     Shared by Dawid-Skene (``with_prior=True``: the current confidences act
     as class priors) and LFC (``with_prior=False``: uniform prior). The
-    confusion ``cells`` / ``totals`` are global (their pairs span shards, so
-    the caller reduces them once per iteration on the full pair table); the
-    shard only performs the per-pair log-likelihood gather and the
-    shard-local per-slot reduction + softmax — the transcendental-heavy
-    part. Returns ``(posterior_slice, local_delta)``.
+    confusion ``cells`` / ``totals`` are reduced by the caller over the
+    whole pair table; the kernel performs the per-pair log-likelihood gather
+    and the per-slot reduction + softmax. Returns ``(posterior, delta)``.
     """
-    mu = state["mu"][shard.slot_lo : shard.slot_hi]
-    smoothing = state["smoothing"]
     contrib = np.log(
-        (state["cells"][shard.cell_index] + smoothing)
-        / (state["totals"][shard.total_index] + smoothing * shard.pair_size)
+        (cells[ops.cell_index] + smoothing)
+        / (totals[ops.total_index] + smoothing * ops.pair_size)
     )
-    log_post = np.bincount(shard.pair_slot, weights=contrib, minlength=shard.n_slots)
-    if consts["with_prior"]:
+    log_post = np.bincount(ops.pair_slot, weights=contrib, minlength=ops.n_slots)
+    if with_prior:
         log_post = np.log(np.maximum(mu, 1e-12)) + log_post
-    posterior = shard.segment_softmax(log_post)
-    delta = float(np.max(np.abs(posterior - mu))) if shard.n_slots else 0.0
+    posterior = ops.segment_softmax(log_post)
+    delta = float(np.max(np.abs(posterior - mu))) if ops.n_slots else 0.0
     return posterior, delta
 
 
-def _zencrowd_estep_kernel(shard, consts, state):
-    """ZenCrowd E-step over one shard: per-claim hit/miss log-likelihoods,
-    per-slot posterior, plus each claim's posterior mass on its claimed slot
-    (the caller's global per-claimant reliability reduction needs it in
-    claim order). Returns ``(posterior_slice, claim_correct, local_delta)``."""
-    mu = state["mu"][shard.slot_lo : shard.slot_hi]
-    r = state["r"]  # clipped reliability per (global) claimant id
-    log_hit = np.log(r[shard.claim_claimant])
-    log_miss = np.log((1.0 - r[shard.claim_claimant]) / consts["miss_denom"])
+def _zencrowd_estep_kernel(ops, mu, r, miss_denom):
+    """ZenCrowd E-step over ``ops`` (the whole encoding or a frontier view):
+    per-claim hit/miss log-likelihoods from the clipped reliability ``r``
+    (indexed by global claimant id) and the per-claim uniform-miss
+    denominators, the per-slot posterior, plus each claim's posterior mass
+    on its claimed slot (the caller's per-claimant reliability reduction
+    needs it in claim order). Returns ``(posterior, claim_correct, delta)``."""
+    log_hit = np.log(r[ops.claim_claimant])
+    log_miss = np.log((1.0 - r[ops.claim_claimant]) / miss_denom)
     contrib = np.where(
-        shard.pair_is_claimed,
-        log_hit[shard.pair_claim],
-        log_miss[shard.pair_claim],
+        ops.pair_is_claimed,
+        log_hit[ops.pair_claim],
+        log_miss[ops.pair_claim],
     )
     log_post = np.log(np.maximum(mu, 1e-12)) + np.bincount(
-        shard.pair_slot, weights=contrib, minlength=shard.n_slots
+        ops.pair_slot, weights=contrib, minlength=ops.n_slots
     )
-    posterior = shard.segment_softmax(log_post)
-    delta = float(np.max(np.abs(posterior - mu))) if shard.n_slots else 0.0
-    return posterior, posterior[shard.claim_slot], delta
+    posterior = ops.segment_softmax(log_post)
+    delta = float(np.max(np.abs(posterior - mu))) if ops.n_slots else 0.0
+    return posterior, posterior[ops.claim_slot], delta
 
 
 def _incremental_confusion_fit(model, dataset, warm, with_prior):
@@ -103,7 +100,7 @@ def _incremental_confusion_fit(model, dataset, warm, with_prior):
     iteration as ``base + frontier``: ``base`` is one full-pair-table
     bincount at the warm posteriors minus the frontier's contribution at the
     same posteriors — computed once, O(claims); each EM iteration then only
-    re-reduces the frontier's pairs and runs the unmodified
+    re-reduces the frontier's pairs and runs the full fit's
     :func:`_confusion_estep_kernel` over a
     :class:`~repro.data.columnar.FrontierView`. Returns ``None`` when the
     delta cannot be served (caller falls back to a cold fit), or delegates to
@@ -150,7 +147,6 @@ def _incremental_confusion_fit(model, dataset, warm, with_prior):
         fv.total_index, weights=w_warm, minlength=pairs.n_totals
     )
 
-    consts = {"with_prior": with_prior}
     iterations = 0
     converged = False
     for iterations in range(1, model.max_iter + 1):
@@ -162,14 +158,7 @@ def _incremental_confusion_fit(model, dataset, warm, with_prior):
             fv.total_index, weights=w_f, minlength=pairs.n_totals
         )
         posterior, delta = _confusion_estep_kernel(
-            fv,
-            consts,
-            {
-                "mu": mu_f,
-                "cells": cells,
-                "totals": totals,
-                "smoothing": model.smoothing,
-            },
+            fv, mu_f, cells, totals, model.smoothing, with_prior
         )
         mu_f = posterior
         if delta < model.tol:
@@ -194,11 +183,6 @@ class DawidSkene(TruthInferenceAlgorithm):
     use_columnar:
         Engine selector (``True`` / ``False`` / ``"auto"``); see
         :func:`repro.data.columnar.resolve_engine`.
-    n_jobs, shards, parallel_backend:
-        Parallel-execution knobs for the columnar engine (object-range
-        shards, bitwise-identical results; see :mod:`repro.data.sharding`).
-        ``parallel_backend="auto"`` downgrades to serial on 1-core hosts or
-        small shards.
     incremental / frontier_hops:
         With ``incremental=True`` and a ``warm_start=`` result from the same
         dataset, re-converge only the dirty frontier (touched objects plus
@@ -216,9 +200,6 @@ class DawidSkene(TruthInferenceAlgorithm):
         max_iter: int = 40,
         tol: float = 1e-5,
         use_columnar: Union[bool, str] = "auto",
-        n_jobs: int = 1,
-        shards: Optional[int] = None,
-        parallel_backend: str = "auto",
         incremental: bool = False,
         frontier_hops: int = 1,
     ) -> None:
@@ -226,9 +207,6 @@ class DawidSkene(TruthInferenceAlgorithm):
         self.max_iter = max_iter
         self.tol = tol
         self.use_columnar = use_columnar
-        self.n_jobs = n_jobs
-        self.shards = shards
-        self.parallel_backend = parallel_backend
         self.incremental = incremental
         if frontier_hops < 0:
             raise ValueError("frontier_hops must be >= 0")
@@ -256,47 +234,30 @@ class DawidSkene(TruthInferenceAlgorithm):
     def _fit_columnar(self, dataset: TruthDiscoveryDataset) -> InferenceResult:
         col = dataset.columnar()
         pairs = col.pairs
-        shards, executor = parallel_plan(
-            col, self.n_jobs, self.shards, self.parallel_backend
-        )
-        shards.ensure_pairs()
         mu = col.initial_confidences_flat()
         iterations = 0
         converged = False
-        consts = [{"with_prior": True} for _ in shards]
 
-        with executor.session(shards, consts) as sess:
-            for iterations in range(1, self.max_iter + 1):
-                # M-step: every pair (claim j, candidate slot s) adds mu[s] to
-                # the claimant's confusion cell (truth value of s, claimed
-                # value of j) and to the (claimant, truth) marginal. Cells
-                # span shards, so this reduction stays global (one pass over
-                # the pair table in its original order — the merge contract's
-                # reduction half).
-                weight = mu[pairs.pair_slot]
-                cells = np.bincount(
-                    pairs.cell_index, weights=weight, minlength=pairs.n_cells
-                )
-                totals = np.bincount(
-                    pairs.total_index, weights=weight, minlength=pairs.n_totals
-                )
+        for iterations in range(1, self.max_iter + 1):
+            # M-step: every pair (claim j, candidate slot s) adds mu[s] to the
+            # claimant's confusion cell (truth value of s, claimed value of j)
+            # and to the (claimant, truth) marginal — one pass over the pair
+            # table in its original order.
+            weight = mu[pairs.pair_slot]
+            cells = np.bincount(
+                pairs.cell_index, weights=weight, minlength=pairs.n_cells
+            )
+            totals = np.bincount(
+                pairs.total_index, weights=weight, minlength=pairs.n_totals
+            )
 
-                # E-step per shard: log-likelihood gather + per-slot softmax.
-                parts = sess.map(
-                    _confusion_estep_kernel,
-                    {
-                        "mu": mu,
-                        "cells": cells,
-                        "totals": totals,
-                        "smoothing": self.smoothing,
-                    },
-                )
-                posterior = ColumnarShards.concat([p[0] for p in parts])
-                delta = max((p[1] for p in parts), default=0.0)
-                mu = posterior
-                if delta < self.tol:
-                    converged = True
-                    break
+            # E-step: log-likelihood gather + per-slot softmax.
+            mu, delta = _confusion_estep_kernel(
+                col, mu, cells, totals, self.smoothing, with_prior=True
+            )
+            if delta < self.tol:
+                converged = True
+                break
         return ColumnarInferenceResult(dataset, col, mu, iterations, converged)
 
     # ------------------------------------------------------------------
@@ -365,9 +326,6 @@ class ZenCrowd(TruthInferenceAlgorithm):
         max_iter: int = 40,
         tol: float = 1e-5,
         use_columnar: Union[bool, str] = "auto",
-        n_jobs: int = 1,
-        shards: Optional[int] = None,
-        parallel_backend: str = "auto",
         incremental: bool = False,
         frontier_hops: int = 1,
     ) -> None:
@@ -375,9 +333,6 @@ class ZenCrowd(TruthInferenceAlgorithm):
         self.max_iter = max_iter
         self.tol = tol
         self.use_columnar = use_columnar
-        self.n_jobs = n_jobs
-        self.shards = shards
-        self.parallel_backend = parallel_backend
         self.incremental = incremental
         if frontier_hops < 0:
             raise ValueError("frontier_hops must be >= 0")
@@ -456,19 +411,14 @@ class ZenCrowd(TruthInferenceAlgorithm):
             weights=mu[fv.slot_ids][fv.claim_slot],
             minlength=col.n_claimants,
         )
-        consts = {
-            "miss_denom": np.maximum(fv.sizes[fv.claim_obj] - 1, 1).astype(
-                np.float64
-            )
-        }
+        miss_denom = np.maximum(fv.sizes[fv.claim_obj] - 1, 1).astype(np.float64)
         iterations = 0
         converged = False
         for iterations in range(1, self.max_iter + 1):
             r = np.clip(reliability, 1e-3, 1.0 - 1e-3)
-            posterior, claim_correct, delta = _zencrowd_estep_kernel(
-                fv, consts, {"mu": mu_f, "r": r}
+            mu_f, claim_correct, delta = _zencrowd_estep_kernel(
+                fv, mu_f, r, miss_denom
             )
-            mu_f = posterior
             correct_mass = base_correct + np.bincount(
                 fv.claim_claimant,
                 weights=claim_correct,
@@ -490,39 +440,27 @@ class ZenCrowd(TruthInferenceAlgorithm):
     # ------------------------------------------------------------------
     def _fit_columnar(self, dataset: TruthDiscoveryDataset) -> InferenceResult:
         col = dataset.columnar()
-        shards, executor = parallel_plan(
-            col, self.n_jobs, self.shards, self.parallel_backend
-        )
-        shards.ensure_pairs()
         mu = col.initial_confidences_flat()
         reliability = np.full(col.n_claimants, self.prior_reliability, dtype=np.float64)
         counts = col.claimant_counts()
         # Per-claim uniform-miss denominator max(|Vo| - 1, 1).
         miss_denom = np.maximum(col.sizes[col.claim_obj] - 1, 1).astype(np.float64)
-        consts = [{"miss_denom": m} for m in shards.slice_claims(miss_denom)]
         iterations = 0
         converged = False
 
-        with executor.session(shards, consts) as sess:
-            for iterations in range(1, self.max_iter + 1):
-                r = np.clip(reliability, 1e-3, 1.0 - 1e-3)
-                parts = sess.map(_zencrowd_estep_kernel, {"mu": mu, "r": r})
-                posterior = ColumnarShards.concat([p[0] for p in parts])
-                claim_correct = ColumnarShards.concat([p[1] for p in parts])
-                delta = max((p[2] for p in parts), default=0.0)
-                mu = posterior
-                # Per-claimant reliability: the global bincount over the
-                # concatenated per-claim posterior mass (claimants span
-                # shards; reducing here keeps the accumulation order).
-                correct_mass = np.bincount(
-                    col.claim_claimant,
-                    weights=claim_correct,
-                    minlength=col.n_claimants,
-                )
-                reliability = (correct_mass + 1.0) / (counts + 2.0)
-                if delta < self.tol:
-                    converged = True
-                    break
+        for iterations in range(1, self.max_iter + 1):
+            r = np.clip(reliability, 1e-3, 1.0 - 1e-3)
+            mu, claim_correct, delta = _zencrowd_estep_kernel(col, mu, r, miss_denom)
+            # Per-claimant reliability: one bincount over the claim table.
+            correct_mass = np.bincount(
+                col.claim_claimant,
+                weights=claim_correct,
+                minlength=col.n_claimants,
+            )
+            reliability = (correct_mass + 1.0) / (counts + 2.0)
+            if delta < self.tol:
+                converged = True
+                break
         result = ColumnarInferenceResult(dataset, col, mu, iterations, converged)
         result.reliability = col.claimant_mapping(reliability)  # type: ignore[attr-defined]
         return result

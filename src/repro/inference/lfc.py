@@ -35,7 +35,6 @@ import numpy as np
 
 from ..data.columnar import resolve_engine
 from ..data.model import ObjectId, TruthDiscoveryDataset
-from ..data.sharding import ColumnarShards, parallel_plan
 from ..hierarchy.tree import Value
 from .base import (
     ColumnarInferenceResult,
@@ -59,11 +58,6 @@ class Lfc(TruthInferenceAlgorithm):
     use_columnar:
         Engine selector (``True`` / ``False`` / ``"auto"``); see
         :func:`repro.data.columnar.resolve_engine`.
-    n_jobs, shards, parallel_backend:
-        Parallel-execution knobs for the columnar engine (object-range
-        shards, bitwise-identical results; see :mod:`repro.data.sharding`).
-        ``parallel_backend="auto"`` downgrades to serial on 1-core hosts or
-        small shards.
     incremental / frontier_hops:
         With ``incremental=True`` and a ``warm_start=`` result from the same
         dataset, re-converge only the dirty frontier (see
@@ -80,9 +74,6 @@ class Lfc(TruthInferenceAlgorithm):
         max_iter: int = 50,
         tol: float = 1e-5,
         use_columnar: Union[bool, str] = "auto",
-        n_jobs: int = 1,
-        shards: Optional[int] = None,
-        parallel_backend: str = "auto",
         incremental: bool = False,
         frontier_hops: int = 1,
     ) -> None:
@@ -90,9 +81,6 @@ class Lfc(TruthInferenceAlgorithm):
         self.max_iter = max_iter
         self.tol = tol
         self.use_columnar = use_columnar
-        self.n_jobs = n_jobs
-        self.shards = shards
-        self.parallel_backend = parallel_backend
         self.incremental = incremental
         if frontier_hops < 0:
             raise ValueError("frontier_hops must be >= 0")
@@ -120,45 +108,30 @@ class Lfc(TruthInferenceAlgorithm):
     def _fit_columnar(self, dataset: TruthDiscoveryDataset) -> InferenceResult:
         col = dataset.columnar()
         pairs = col.pairs
-        shards, executor = parallel_plan(
-            col, self.n_jobs, self.shards, self.parallel_backend
-        )
-        shards.ensure_pairs()
         mu = col.initial_confidences_flat()
         iterations = 0
         converged = False
-        # The Dawid-Skene kernel without the class-prior term (LFC's E-step
-        # uses a uniform prior): the log-posterior is the likelihood sum.
-        consts = [{"with_prior": False} for _ in shards]
 
-        with executor.session(shards, consts) as sess:
-            for iterations in range(1, self.max_iter + 1):
-                # M-step: pair (claim j, candidate slot s) adds mu[s] to the
-                # claimant's (truth, claimed) confusion cell and (truth,)
-                # total — a global reduction (cells span shards).
-                weight = mu[pairs.pair_slot]
-                cells = np.bincount(
-                    pairs.cell_index, weights=weight, minlength=pairs.n_cells
-                )
-                totals = np.bincount(
-                    pairs.total_index, weights=weight, minlength=pairs.n_totals
-                )
+        for iterations in range(1, self.max_iter + 1):
+            # M-step: pair (claim j, candidate slot s) adds mu[s] to the
+            # claimant's (truth, claimed) confusion cell and (truth,) total.
+            weight = mu[pairs.pair_slot]
+            cells = np.bincount(
+                pairs.cell_index, weights=weight, minlength=pairs.n_cells
+            )
+            totals = np.bincount(
+                pairs.total_index, weights=weight, minlength=pairs.n_totals
+            )
 
-                parts = sess.map(
-                    _confusion_estep_kernel,
-                    {
-                        "mu": mu,
-                        "cells": cells,
-                        "totals": totals,
-                        "smoothing": self.smoothing,
-                    },
-                )
-                posterior = ColumnarShards.concat([p[0] for p in parts])
-                delta = max((p[1] for p in parts), default=0.0)
-                mu = posterior
-                if delta < self.tol:
-                    converged = True
-                    break
+            # The Dawid-Skene kernel without the class-prior term (LFC's
+            # E-step uses a uniform prior): the log-posterior is the
+            # likelihood sum.
+            mu, delta = _confusion_estep_kernel(
+                col, mu, cells, totals, self.smoothing, with_prior=False
+            )
+            if delta < self.tol:
+                converged = True
+                break
         return ColumnarInferenceResult(dataset, col, mu, iterations, converged)
 
     # ------------------------------------------------------------------

@@ -47,7 +47,6 @@ from ..data.columnar import (
     resolve_engine,
 )
 from ..data.model import ObjectId, SourceId, TruthDiscoveryDataset, WorkerId
-from ..data.sharding import ColumnarShards, parallel_plan
 from ._structures import ObjectStructure, StructureCache
 from .base import (
     InferenceResult,
@@ -139,41 +138,37 @@ class TDHResult(InferenceResult):
         return prior_arr / prior_arr.sum()
 
 
-def _tdh_estep_kernel(shard, consts, state):
-    """One TDH E-step over one object-range shard (Figure 4, Eq. 1-8).
+def _tdh_estep_kernel(ops, trust, mu, exact, case2, case3, pair_claimant):
+    """One TDH E-step (Figure 4, Eq. 1-8) over ``ops``: the whole
+    :class:`~repro.data.columnar.ColumnarClaims` or a
+    :class:`~repro.data.columnar.FrontierView` of it.
 
-    ``consts`` holds the shard's slices of the per-pair case weights (built
-    once per fit), ``state`` the loop state (``trust``, global flat ``mu``).
-    Returns the shard's slice of the confidence numerator sums plus the
-    per-claim case responsibilities ``g1``/``g2``/``g3`` — the per-claimant
-    reduction runs globally on the concatenated arrays so the accumulation
-    order (hence every float) matches the unsharded path exactly; see the
-    merge contract in :mod:`repro.data.sharding`.
+    ``exact`` / ``case2`` / ``case3`` / ``pair_claimant`` are the per-pair
+    inputs of :meth:`TDHModel._pair_case_arrays` (built once per fit),
+    ``mu`` the flat confidences over ``ops``'s slots and ``trust`` the
+    per-claimant rows, indexed by global claimant id. Returns the confidence
+    numerator sums plus the per-claim case responsibilities ``g1``/``g2``/
+    ``g3``; the caller reduces those per claimant.
     """
-    trust = state["trust"]
-    mu = state["mu"][shard.slot_lo : shard.slot_hi]
-    pc = consts["pair_claimant"]
-    mu_pair = mu[shard.pair_slot]
+    mu_pair = mu[ops.pair_slot]
     like = (
-        trust[:, 0][pc] * consts["exact"]
-        + trust[:, 1][pc] * consts["case2"]
-        + trust[:, 2][pc] * consts["case3"]
+        trust[:, 0][pair_claimant] * exact
+        + trust[:, 1][pair_claimant] * case2
+        + trust[:, 2][pair_claimant] * case3
     )
     joint = like * mu_pair
-    z = np.bincount(shard.pair_claim, weights=joint, minlength=shard.n_claims)
+    z = np.bincount(ops.pair_claim, weights=joint, minlength=ops.n_claims)
     zpos = z > 0
     z_safe = np.where(zpos, z, 1.0)
     # Degenerate claims (z <= 0) fall back to the prior confidence, exactly
     # like the reference sweep.
-    f = np.where(zpos[shard.pair_claim], joint / z_safe[shard.pair_claim], mu_pair)
-    f_sum = np.bincount(shard.pair_slot, weights=f, minlength=shard.n_slots)
+    f = np.where(zpos[ops.pair_claim], joint / z_safe[ops.pair_claim], mu_pair)
+    f_sum = np.bincount(ops.pair_slot, weights=f, minlength=ops.n_slots)
 
-    t_claim = trust[shard.claim_claimant]
-    s2 = np.bincount(
-        shard.pair_claim, weights=consts["case2"] * mu_pair, minlength=shard.n_claims
-    )
+    t_claim = trust[ops.claim_claimant]
+    s2 = np.bincount(ops.pair_claim, weights=case2 * mu_pair, minlength=ops.n_claims)
     third = 1.0 / 3.0
-    g1 = np.where(zpos, t_claim[:, 0] * mu[shard.claim_slot] / z_safe, third)
+    g1 = np.where(zpos, t_claim[:, 0] * mu[ops.claim_slot] / z_safe, third)
     g2 = np.where(zpos, t_claim[:, 1] * s2 / z_safe, third)
     g3 = np.where(zpos, np.maximum(0.0, 1.0 - g1 - g2), third)
     return f_sum, g1, g2, g3
@@ -207,15 +202,6 @@ class TDHModel(TruthInferenceAlgorithm):
     use_columnar:
         Engine selector (``True`` / ``False`` / ``"auto"``); see
         :func:`repro.data.columnar.resolve_engine`.
-    n_jobs, shards, parallel_backend:
-        Parallel-execution knobs for the columnar engine: the E/M steps run
-        over ``shards`` object-range shards (default: one per worker) on
-        ``n_jobs`` workers (``-1`` = all cores) under the given backend
-        (``"serial"`` / ``"thread"`` / ``"process"``, or ``"auto"`` — the
-        default — which downgrades to serial on single-core hosts or small
-        claim tables; see :func:`repro.data.sharding.resolve_backend`).
-        Results are bitwise identical to the unsharded path for every
-        configuration; see :mod:`repro.data.sharding`.
     incremental, frontier_hops:
         ``incremental=True`` makes ``fit(dataset, warm_start=previous)``
         re-converge only the *dirty frontier* — the objects touched since
@@ -245,9 +231,6 @@ class TDHModel(TruthInferenceAlgorithm):
         use_popularity: bool = True,
         collapse_flat_objects: bool = True,
         use_columnar: Union[bool, str] = "auto",
-        n_jobs: int = 1,
-        shards: Optional[int] = None,
-        parallel_backend: str = "auto",
         incremental: bool = False,
         frontier_hops: int = 1,
     ) -> None:
@@ -264,9 +247,6 @@ class TDHModel(TruthInferenceAlgorithm):
         self.use_popularity = use_popularity
         self.collapse_flat_objects = collapse_flat_objects
         self.use_columnar = use_columnar
-        self.n_jobs = n_jobs
-        self.shards = shards
-        self.parallel_backend = parallel_backend
         self.incremental = incremental
         if frontier_hops < 0:
             raise ValueError("frontier_hops must be >= 0")
@@ -314,12 +294,15 @@ class TDHModel(TruthInferenceAlgorithm):
     # columnar engine
     # ------------------------------------------------------------------
     def _pair_case_arrays(self, col: ColumnarClaims, view=None):
-        """Per claim x candidate case weights of Eq. (1)-(4), as flat arrays.
+        """The per-pair inputs of :func:`_tdh_estep_kernel`: the case weights
+        of Eq. (1)-(4) as flat arrays, plus each pair's claimant.
 
-        Element ``p`` of each returned array is the corresponding entry
-        ``[u, v]`` of the reference :class:`ObjectStructure` matrices, where
-        ``u`` is the pair's claimed value and ``v`` its hypothesised truth.
-        The ablation flags are honoured exactly as in
+        Element ``p`` of ``exact`` / ``case2`` / ``case3`` is the
+        corresponding entry ``[u, v]`` of the reference
+        :class:`ObjectStructure` matrices (the source matrices for a record,
+        the worker ones for an answer), where ``u`` is the pair's claimed
+        value and ``v`` its hypothesised truth. The ablation flags are
+        honoured exactly as in
         :func:`repro.inference._structures.build_structure`.
 
         With a :class:`~repro.data.columnar.FrontierView` the arrays cover
@@ -328,19 +311,16 @@ class TDHModel(TruthInferenceAlgorithm):
         O(frontier pairs) — plus one O(claims) pass for the global popularity
         denominators, which are corpus-wide by definition.
         """
+        ops = col if view is None else view
         if view is None:
-            pairs = col.pairs
-            pair_claim_rows = pairs.pair_claim
-            pair_slots = pairs.pair_slot
-            pair_size = pairs.pair_size
-            pair_is_claimed = pairs.pair_is_claimed
+            pair_claim_rows = col.pair_claim
+            pair_slots = col.pair_slot
         else:
             pair_claim_rows = view.claim_ids[view.pair_claim]
             pair_slots = view.slot_ids[view.pair_slot]
-            pair_size = view.pair_size
-            pair_is_claimed = view.pair_is_claimed
+        pair_is_claimed = ops.pair_is_claimed
         n_pairs = len(pair_claim_rows)
-        n = pair_size  # |Vo| per pair, float
+        n = ops.pair_size  # |Vo| per pair, float
         exact_f = pair_is_claimed.astype(np.float64)
 
         if self.use_hierarchy:
@@ -374,19 +354,29 @@ class TDHModel(TruthInferenceAlgorithm):
         source_case2 = np.where(hflag, src2_h, exact_f)
         source_case3 = np.where(hflag, src3_h, src3_flat)
 
-        if not self.use_popularity:
-            return exact_f, source_case2, source_case3, source_case2, source_case3
-
-        # Eq. (3): Pop2/Pop3 redistribute the worker case mass by how often
-        # sources claimed each value.
-        counts, pop2_slot, pop3_slot = col.popularity_denominators(self.use_hierarchy)
-        u_counts = counts[col.claim_slot[pair_claim_rows]]
-        pop2 = pop2_slot[pair_slots]
-        pop3 = pop3_slot[pair_slots]
-        wrk2_h = np.where(pop2 > 0, anc_f * u_counts / np.maximum(pop2, 1.0), 0.0)
-        worker_case2 = np.where(hflag, wrk2_h, exact_f)
-        worker_case3 = np.where(pop3 > 0, case3_f * u_counts / np.maximum(pop3, 1.0), 0.0)
-        return exact_f, source_case2, source_case3, worker_case2, worker_case3
+        if self.use_popularity:
+            # Eq. (3): Pop2/Pop3 redistribute the worker case mass by how
+            # often sources claimed each value.
+            counts, pop2_slot, pop3_slot = col.popularity_denominators(
+                self.use_hierarchy
+            )
+            u_counts = counts[col.claim_slot[pair_claim_rows]]
+            pop2 = pop2_slot[pair_slots]
+            pop3 = pop3_slot[pair_slots]
+            wrk2_h = np.where(pop2 > 0, anc_f * u_counts / np.maximum(pop2, 1.0), 0.0)
+            worker_case2 = np.where(hflag, wrk2_h, exact_f)
+            worker_case3 = np.where(
+                pop3 > 0, case3_f * u_counts / np.maximum(pop3, 1.0), 0.0
+            )
+        else:
+            worker_case2, worker_case3 = source_case2, source_case3
+        is_answer_pair = ops.claim_is_answer[ops.pair_claim]
+        return (
+            exact_f,
+            np.where(is_answer_pair, worker_case2, source_case2),
+            np.where(is_answer_pair, worker_case3, source_case3),
+            ops.claim_claimant[ops.pair_claim],
+        )
 
     def _fit_columnar(
         self,
@@ -395,10 +385,6 @@ class TDHModel(TruthInferenceAlgorithm):
         structures: Optional[StructureCache],
     ) -> TDHResult:
         col = dataset.columnar()
-        pairs = col.pairs
-        shards, executor = parallel_plan(
-            col, self.n_jobs, self.shards, self.parallel_backend
-        )
         cache = structures if structures is not None else self.make_structure_cache(dataset)
         prior_phi = self.alpha / self.alpha.sum()
         prior_psi = self.beta / self.beta.sum()
@@ -415,22 +401,8 @@ class TDHModel(TruthInferenceAlgorithm):
                 if vec is not None:
                     trust[cid] = vec
 
-        # Per-pair case weights of Eq. (1)-(4): iteration-invariant, computed
-        # once globally and sliced per shard into the kernel constants.
-        exact_f, src2, src3, wrk2, wrk3 = self._pair_case_arrays(col)
-        is_answer_pair = col.claim_is_answer[pairs.pair_claim]
-        case2 = np.where(is_answer_pair, wrk2, src2)
-        case3 = np.where(is_answer_pair, wrk3, src3)
-        pair_claimant = col.claim_claimant[pairs.pair_claim]
-        consts = [
-            {"exact": e, "case2": c2, "case3": c3, "pair_claimant": pc}
-            for e, c2, c3, pc in zip(
-                shards.slice_pairs(exact_f),
-                shards.slice_pairs(case2),
-                shards.slice_pairs(case3),
-                shards.slice_pairs(pair_claimant),
-            )
-        ]
+        # Per-pair case weights of Eq. (1)-(4): iteration-invariant.
+        case_arrays = self._pair_case_arrays(col)
 
         mu = col.initial_confidences_flat()
         gamma_minus_1 = self.gamma - 1.0
@@ -450,44 +422,35 @@ class TDHModel(TruthInferenceAlgorithm):
         converged = False
         g_sums = None
 
-        with executor.session(shards, consts) as sess:
-            for iterations in range(1, self.max_iter + 1):
-                # E-step per shard: every per-claim / per-slot quantity is
-                # computed inside the shard that owns the object.
-                parts = sess.map(_tdh_estep_kernel, {"trust": trust, "mu": mu})
-                f_sum = ColumnarShards.concat([p[0] for p in parts])
-                g1 = ColumnarShards.concat([p[1] for p in parts])
-                g2 = ColumnarShards.concat([p[2] for p in parts])
-                g3 = ColumnarShards.concat([p[3] for p in parts])
-                # Cross-shard reduction over claimants: one global bincount
-                # on the concatenated per-claim responsibilities (the merge
-                # contract's bitwise-stable half).
-                g_sums = np.stack(
-                    [
-                        np.bincount(
-                            col.claim_claimant, weights=g, minlength=col.n_claimants
-                        )
-                        for g in (g1, g2, g3)
-                    ],
-                    axis=1,
-                )
+        for iterations in range(1, self.max_iter + 1):
+            f_sum, g1, g2, g3 = _tdh_estep_kernel(col, trust, mu, *case_arrays)
+            # Per-claimant case sums: one bincount over the whole claim table.
+            g_sums = np.stack(
+                [
+                    np.bincount(
+                        col.claim_claimant, weights=g, minlength=col.n_claimants
+                    )
+                    for g in (g1, g2, g3)
+                ],
+                axis=1,
+            )
 
-                # M-step for trustworthiness (Eq. 10-11).
-                count_c = g_sums.sum(axis=1)
-                denom_c = count_c + prior_m1.sum(axis=1)
-                vec = (g_sums + prior_m1) / np.where(denom_c > 0, denom_c, 1.0)[:, None]
-                vec = np.clip(vec, 1e-12, None)
-                vec = vec / vec.sum(axis=1, keepdims=True)
-                trust = np.where((denom_c > 0)[:, None], vec, prior_mean)
+            # M-step for trustworthiness (Eq. 10-11).
+            count_c = g_sums.sum(axis=1)
+            denom_c = count_c + prior_m1.sum(axis=1)
+            vec = (g_sums + prior_m1) / np.where(denom_c > 0, denom_c, 1.0)[:, None]
+            vec = np.clip(vec, 1e-12, None)
+            vec = vec / vec.sum(axis=1, keepdims=True)
+            trust = np.where((denom_c > 0)[:, None], vec, prior_mean)
 
-                # M-step for confidences (Eq. 9).
-                numer_flat = f_sum + gamma_minus_1
-                new_mu = np.where(den_positive, numer_flat / den_safe, uniform_slot)
-                delta = float(np.max(np.abs(new_mu - mu))) if col.n_slots else 0.0
-                mu = new_mu
-                if delta < self.tol:
-                    converged = True
-                    break
+            # M-step for confidences (Eq. 9).
+            numer_flat = f_sum + gamma_minus_1
+            new_mu = np.where(den_positive, numer_flat / den_safe, uniform_slot)
+            delta = float(np.max(np.abs(new_mu - mu))) if col.n_slots else 0.0
+            mu = new_mu
+            if delta < self.tol:
+                converged = True
+                break
 
         phi: Dict[SourceId, np.ndarray] = {}
         psi: Dict[WorkerId, np.ndarray] = {}
@@ -528,7 +491,7 @@ class TDHModel(TruthInferenceAlgorithm):
     ) -> Optional[TDHResult]:
         """Warm-started frontier re-convergence; ``None`` -> run the full fit.
 
-        Per EM iteration only the frontier's E-step runs (the unmodified
+        Per EM iteration only the frontier's E-step runs (the full fit's
         :func:`_tdh_estep_kernel` over a
         :class:`~repro.data.columnar.FrontierView`); the global per-claimant
         case sums are patched as ``base + frontier`` where ``base`` is the
@@ -586,14 +549,7 @@ class TDHModel(TruthInferenceAlgorithm):
                 if vec is not None:
                     trust[cid] = vec
 
-        exact_f, src2, src3, wrk2, wrk3 = self._pair_case_arrays(col, fv)
-        is_answer_pair = fv.claim_is_answer[fv.pair_claim]
-        consts = {
-            "exact": exact_f,
-            "case2": np.where(is_answer_pair, wrk2, src2),
-            "case3": np.where(is_answer_pair, wrk3, src3),
-            "pair_claimant": fv.claim_claimant[fv.pair_claim],
-        }
+        case_arrays = self._pair_case_arrays(col, fv)
 
         # Slot growth scatter-expands the stored per-slot state into the new
         # layout with new slots at 0.0: the E-step is multiplicative in
@@ -616,7 +572,7 @@ class TDHModel(TruthInferenceAlgorithm):
         n_claimants = col.n_claimants
         base_g = np.zeros((n_claimants, 3), dtype=np.float64)
         base_g[old_ids] = em["g_sums"]
-        _, g1, g2, g3 = _tdh_estep_kernel(fv, consts, {"trust": trust, "mu": mu_f})
+        _, g1, g2, g3 = _tdh_estep_kernel(fv, trust, mu_f, *case_arrays)
         appended_keys = np.asarray(
             [
                 col.object_index[obj] * n_claimants
@@ -682,14 +638,12 @@ class TDHModel(TruthInferenceAlgorithm):
         )
 
         numer_f = numer_flat[fv.slot_ids]
-        n_local_slots = fv.slot_hi
+        n_local_slots = fv.n_slots
         iterations = 0
         converged = False
         g_local = base_g_f
         for iterations in range(1, self.max_iter + 1):
-            f_sum, g1, g2, g3 = _tdh_estep_kernel(
-                fv, consts, {"trust": trust, "mu": mu_f}
-            )
+            f_sum, g1, g2, g3 = _tdh_estep_kernel(fv, trust, mu_f, *case_arrays)
             g_local = base_g_f + np.bincount(
                 claim_local_3,
                 weights=np.concatenate((g1, g2, g3)),

@@ -212,7 +212,7 @@ def test_frontier_view_gathers_the_global_rows():
     col = ds.columnar()
     frontier = col.frontier(np.array([2, 11, 40]), hops=1)
     fv = FrontierView(col, frontier)
-    assert fv.slot_lo == 0 and fv.slot_hi == int(np.sum(col.sizes[frontier]))
+    assert fv.n_slots == int(np.sum(col.sizes[frontier]))
     # slot/claim gathers match direct per-object slicing
     assert np.array_equal(fv.sizes, col.sizes[frontier])
     for local, oid in enumerate(frontier):
