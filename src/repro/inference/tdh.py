@@ -208,12 +208,13 @@ class TDHModel(TruthInferenceAlgorithm):
         the previous (columnar) fit plus everything within ``frontier_hops``
         claimant links of them — holding clean objects' E-step outputs
         fixed and patching the previous round's per-claimant reductions
-        with the frontier's delta. Falls back to the full fit whenever the
-        delta is not servable (no columnar state, an in-place overwrite, a
-        record append, a trimmed oplog window, or a frontier saturating to
-        the whole corpus — the last delegates to the full fit for exact
-        parity). Results agree with a cold fit within the convergence
-        tolerance; see ``docs/architecture.md``.
+        with the frontier's delta. Record appends (new objects, new
+        candidate values) are spliced into the frontier too. Falls back to
+        the full fit whenever the delta is not servable (no columnar state,
+        an in-place overwrite, a trimmed oplog window, or a frontier
+        saturating to the whole corpus — the last delegates to the full fit
+        for exact parity). Results agree with a cold fit within the
+        convergence tolerance; see ``docs/architecture.md``.
     """
 
     name = "TDH"

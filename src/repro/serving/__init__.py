@@ -9,7 +9,8 @@ that readers hit lock-free. After a crash, :func:`recover` replays the
 journal into an identical dataset and restarts the service at the next
 epoch. With a :class:`SupervisionPolicy` attached the service is
 self-healing in-process too: worker crashes roll back to the last published
-state and restart with backoff, poison batches are quarantined
+state by replaying the journal (a private one when none is attached) and
+restart with backoff, poison batches are quarantined
 (:class:`BatchQuarantined`), wedged fits are watchdogged
 (:class:`FitTimeout`), reads stay live while degraded, and the journal is
 bounded by compaction. See ``docs/serving.md`` for the architecture, the

@@ -20,9 +20,9 @@ Sites (the order below is the order they are hit during one worker batch):
                      their durability is what failed)
 ``worker.apply``     after the batch is journaled, before it is applied to
                      the live dataset
-``worker.fit``       inside the model fit (runs on the executor thread when
-                     fits are off-loop); with ``delay=`` and no ``exc=`` it
-                     is a pure slowdown — the responsiveness regression test
+``worker.fit``       inside the model fit (runs on the fit executor
+                     thread); with ``delay=`` and no ``exc=`` it is a pure
+                     slowdown — the responsiveness regression test
 ``worker.publish``   after the fit, before the snapshot-store swap
 ``journal.checkpoint``  before the epoch-checkpoint marker is written
 ``journal.compact``  before the compaction temp file is written

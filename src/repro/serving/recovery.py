@@ -12,7 +12,8 @@ never a torn suffix and never a half-applied batch. Concretely:
   self-contained base record and pushes every journaled write through the
   *same validating mutators* the live worker used — a write rejected live
   is rejected identically on replay, so the rebuilt dataset equals the
-  accepted prefix exactly;
+  accepted prefix exactly. The same function is the supervisor's one
+  in-process rollback path (:mod:`repro.serving.supervisor`);
 * :func:`recover` restarts a :class:`~repro.serving.service.TruthService`
   over the rebuilt dataset with its first publish at
   ``last checkpoint epoch + 1`` and the dataset's version counters restored
@@ -102,11 +103,13 @@ def rebuild_dataset(
 
     Batches named by journaled ``quarantine`` records — or by the caller's
     ``skip_seqs`` (the supervisor's rollback excludes the in-flight batch
-    this way) — are skipped wholesale: a live service that quarantined a
-    poison batch and a recovery of its journal condition on the same
-    evidence. A batch frame whose sequence number was already replayed (a
-    retried append whose "failed" first frame actually reached the file) is
-    applied once and counted as a duplicate.
+    and every batch it quarantined this way, including one whose
+    ``quarantine`` record never reached the file) — are skipped wholesale:
+    a live service that quarantined a poison batch and a recovery of its
+    journal condition on the same evidence. A batch frame whose sequence
+    number was already replayed (a retried append whose "failed" first
+    frame actually reached the file) is applied once and counted as a
+    duplicate.
     """
     scan = source if isinstance(source, JournalScan) else scan_journal(source)
     base = scan.base
@@ -190,9 +193,6 @@ async def recover(
     faults: Optional[FaultInjector] = None,
     max_pending: int = 1024,
     batch_max: int = 256,
-    batch_wait: float = 0.0,
-    history: int = 8,
-    off_loop_fits: bool = True,
     supervision: Optional["SupervisionPolicy"] = None,
     auto_compact_bytes: Optional[int] = None,
 ) -> Tuple["TruthService", RecoveryReport]:
@@ -232,11 +232,8 @@ async def recover(
         model,
         max_pending=max_pending,
         batch_max=batch_max,
-        batch_wait=batch_wait,
-        history=history,
         journal=journal,
         faults=faults,
-        off_loop_fits=off_loop_fits,
         initial_epoch=resume_epoch,
         supervision=supervision,
     )

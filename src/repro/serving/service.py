@@ -20,8 +20,8 @@ report*. This module turns the same engine into a long-running service:
 With a :class:`~repro.serving.journal.WriteAheadJournal` attached the
 accepted write stream is durable (journaled before it is applied) and the
 service is crash-recoverable via :func:`~repro.serving.recovery.recover`;
-fits run in a single-thread executor by default (``off_loop_fits``) so a
-cold refit never freezes the event loop.
+fits always run in a single-thread executor, so a cold refit never freezes
+the event loop.
 
 Consistency contract (see ``docs/serving.md`` for the full statement):
 
@@ -47,8 +47,11 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import inspect
+import shutil
+import tempfile
 import time
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Dict, Iterable, Optional
 
 from ..data.model import (
@@ -131,12 +134,9 @@ class TruthService:
     max_pending:
         Write-queue capacity — the backpressure knob. ``append_*`` awaits
         once this many writes are queued ahead of the EM worker.
-    batch_max / batch_wait:
+    batch_max:
         Micro-batching: up to ``batch_max`` queued writes are folded into one
-        fit; ``batch_wait`` seconds of linger (0 = none) lets sparse writers
-        coalesce instead of paying one fit per write.
-    history:
-        How many published snapshots the store retains for inspection.
+        fit.
     journal:
         Optional :class:`~repro.serving.journal.WriteAheadJournal`. When
         attached, every micro-batch is journaled *before* it is applied
@@ -149,10 +149,6 @@ class TruthService:
         Optional :class:`~repro.serving.faults.FaultInjector` — the
         deterministic crash harness threaded through journal/worker sites.
         Production services leave it ``None``.
-    off_loop_fits:
-        When true (default) every fit runs in a single-thread executor so
-        reads and enqueues stay responsive during cold refits; false keeps
-        the PR-7 on-loop behaviour (used by the blocking-regression test).
     initial_epoch:
         The epoch the first publish carries — 0 for a fresh service;
         recovery passes the journaled checkpoint epoch + 1 so epochs stay
@@ -163,8 +159,11 @@ class TruthService:
         :class:`~repro.serving.supervisor.Supervisor` — batch-loop crashes
         roll back to the last published state and restart with backoff,
         poison batches are quarantined, fits are watchdogged, and reads
-        stay live (``degraded`` stamps) while the worker heals. ``None``
-        keeps the PR-7..9 fail-stop policy.
+        stay live (``degraded`` stamps) while the worker heals. Rollback
+        replays the journal, so a supervised service built without one
+        opens a private journal at ``start()`` (``fsync="never"``, in a
+        temporary directory that ``stop()`` and ``crash()`` remove).
+        ``None`` keeps the fail-stop policy.
     """
 
     def __init__(
@@ -174,11 +173,8 @@ class TruthService:
         *,
         max_pending: int = 1024,
         batch_max: int = 256,
-        batch_wait: float = 0.0,
-        history: int = 8,
         journal: Optional[WriteAheadJournal] = None,
         faults: Optional[FaultInjector] = None,
-        off_loop_fits: bool = True,
         initial_epoch: int = 0,
         supervision: Optional[SupervisionPolicy] = None,
     ) -> None:
@@ -193,11 +189,12 @@ class TruthService:
         )
         self._max_pending = max_pending
         self._batch_max = batch_max
-        self._batch_wait = batch_wait
         self._journal = journal
+        #: the temporary directory of a supervised service's private
+        #: journal (None when the caller attached one or supervision is off).
+        self._private_journal_dir: Optional[str] = None
         self._faults = faults
-        self._off_loop_fits = off_loop_fits
-        self._store = SnapshotStore(history=history, base_epoch=initial_epoch)
+        self._store = SnapshotStore(base_epoch=initial_epoch)
         self.metrics = ServiceMetrics()
         self._supervision = supervision
         self._queue: Optional["asyncio.Queue[Write]"] = None
@@ -222,6 +219,15 @@ class TruthService:
             raise ServiceClosed("service already stopped")
         if not self._dataset.objects:
             raise ValueError("TruthService needs a dataset with at least one record")
+        if self._supervision is not None and self._journal is None:
+            # The supervisor rolls back by replaying the journal; without a
+            # caller's journal it gets a private, unsynced one.
+            self._private_journal_dir = tempfile.mkdtemp(prefix="repro-rollback-")
+            self._journal = WriteAheadJournal(
+                Path(self._private_journal_dir) / "rollback.wal",
+                fsync="never",
+                faults=self._faults,
+            )
         if self._journal is not None and self._journal.is_fresh:
             # A fresh journal opens with the full base dataset, making the
             # file self-contained: recover(path) needs no external corpus.
@@ -235,10 +241,8 @@ class TruthService:
             self.metrics,
             accepts_warm_start=self._accepts_warm_start,
             batch_max=self._batch_max,
-            batch_wait=self._batch_wait,
             journal=self._journal,
             faults=self._faults,
-            off_loop_fits=self._off_loop_fits,
             supervised=self._supervision is not None,
             fit_timeout=(
                 self._supervision.fit_timeout
@@ -247,8 +251,8 @@ class TruthService:
             ),
         )
         if self._supervision is not None:
-            # Built before the initial fit so its rollback ledger anchors at
-            # the pristine dataset and its commit hook sees every publish.
+            # Built before the initial fit so its commit hook sees every
+            # publish.
             self.supervisor = Supervisor(self, self._supervision)
         # The initial fit before any write is accepted: readers never see
         # "no data". Epoch 0 on a fresh service; the journaled resume epoch
@@ -273,10 +277,10 @@ class TruthService:
         ``worker.step()``) to be consuming the queue. Returns the snapshot
         that is latest once the queue is fully processed.
 
-        If the worker task dies mid-drain — a fail-stop crash, or a
-        supervised service exhausting its restart budget — the barrier can
-        never complete, so instead of hanging forever this raises the
-        worker's own failure (``ServiceClosed`` if it was cancelled).
+        If the worker task has died — a fail-stop crash, or a supervised
+        service exhausting its restart budget or failing a rollback — this
+        raises the worker's own failure instead of hanging on writes nothing
+        will publish (``ServiceClosed`` if it was cancelled mid-drain).
         """
         self._require_started()
         join = asyncio.ensure_future(self._queue.join())
@@ -287,14 +291,17 @@ class TruthService:
             await join
             return self._store.latest
         await asyncio.wait({join, sentinel}, return_when=asyncio.FIRST_COMPLETED)
-        if join.done():
-            # Fully processed wins even if the worker stopped in the same
-            # tick — every write is resolved, which is what drain promises.
+        failure = None
+        if sentinel.done() and not sentinel.cancelled():
+            failure = sentinel.exception()
+        if join.done() and failure is None:
             return self._store.latest
+        # A dead worker's failure wins even over a completed barrier: a
+        # supervisor that gives up resolves the writes it abandons, so the
+        # queue empties although none of them was published.
         join.cancel()
         with contextlib.suppress(asyncio.CancelledError):
             await join
-        failure = None if sentinel.cancelled() else sentinel.exception()
         if failure is not None:
             raise failure
         raise ServiceClosed("EM worker was cancelled mid-drain")
@@ -302,12 +309,14 @@ class TruthService:
     async def stop(self, *, drain: bool = True) -> None:
         """Refuse new writes, optionally drain, then tear down cleanly.
 
-        The journal (when attached) is closed with a final fsync, and the
-        fit executor is released. A fail-stopped worker's exception is
-        swallowed here — it already surfaced on the crashed batch's tickets.
+        The journal (when attached) is closed with a final fsync, a private
+        journal's directory is removed, and the fit executor is released. A
+        fail-stopped worker's exception is swallowed here — it already
+        surfaced on the crashed batch's tickets.
         """
         if not self._started or self._queue is None:
             self._closed = True
+            self._remove_private_journal()
             return
         self._closed = True
         if drain and (self._worker_task is not None and not self._worker_task.done()):
@@ -334,6 +343,7 @@ class TruthService:
             )
         if self.worker is not None:
             self.worker.shutdown()
+        self._remove_private_journal()
         if self._journal is not None and not self._journal.closed:
             self._journal.close()
 
@@ -344,7 +354,8 @@ class TruthService:
         task is cancelled where it stands, the journal handle is dropped,
         and the service refuses everything from here on. Whatever the
         journal already holds is what :func:`~repro.serving.recovery.
-        recover` will restore — exactly the accepted durable prefix.
+        recover` will restore — exactly the accepted durable prefix. A
+        private journal has no later reader, so its directory is removed.
         """
         self._closed = True
         if self._worker_task is not None:
@@ -357,6 +368,14 @@ class TruthService:
             self.worker.shutdown()
         if self._journal is not None and not self._journal.closed:
             self._journal.abort()
+        self._remove_private_journal()
+
+    def _remove_private_journal(self) -> None:
+        """Drop a private journal unsynced: nothing reads it after the end."""
+        if self._private_journal_dir is not None:
+            self._journal.abort()
+            shutil.rmtree(self._private_journal_dir, ignore_errors=True)
+            self._private_journal_dir = None
 
     async def __aenter__(self) -> "TruthService":
         return await self.start()
@@ -374,10 +393,10 @@ class TruthService:
     ) -> "asyncio.Future[int]":
         """Enqueue a source claim; returns the write's awaitable ticket.
 
-        Note a record append moves ``records_version``, so the covering fit
-        runs cold (the warm-start gate refuses the seed — counted in
-        ``metrics.warm_start_degradations``, not warned). Claims are the
-        slow, rare path; answers are the hot one.
+        A record append moves ``records_version`` and may add an object or a
+        candidate value; the covering fit still runs incrementally, with
+        the new slots spliced into the dirty frontier. Validation happens at
+        apply time, as for :meth:`append_answer`.
         """
         return await self._enqueue(Write(Record(obj, source, value)))
 
@@ -440,7 +459,7 @@ class TruthService:
 
     @property
     def history(self):
-        """Recent publishes, oldest first (bounded by ``history``)."""
+        """Recent publishes, oldest first (the store keeps the last 8)."""
         return self._store.history
 
     def get_truth(self, obj: ObjectId) -> TruthRead:
@@ -514,7 +533,8 @@ class TruthService:
         The drain is what makes the rewrite legal: once every accepted write
         is published, the live dataset *is* the journal's replay state, so
         replacing history with it loses nothing. Returns ``compact()``'s
-        ``{before_bytes, after_bytes}``. Raises when no journal is attached.
+        ``{before_bytes, after_bytes}``. Raises when no journal is attached
+        (a supervised service always has one: its own or a private one).
         """
         self._require_started()
         if self._journal is None:
@@ -529,8 +549,6 @@ class TruthService:
             applied_writes=latest.applied_writes,
         )
         self.metrics.compactions += 1
-        if self.supervisor is not None:
-            self.supervisor.rebase_ledger()
         return info
 
     # ------------------------------------------------------------------
@@ -546,7 +564,6 @@ class TruthService:
             "worker_alive": bool(
                 self._worker_task is not None and not self._worker_task.done()
             ),
-            "off_loop_fits": self._off_loop_fits,
             "supervised": self.supervisor is not None,
         }
         if self.supervisor is not None:

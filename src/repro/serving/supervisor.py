@@ -13,12 +13,16 @@ and, per crash of the batch loop:
 
 1. **rolls the dataset back** to the last *published* state. The published
    snapshot is the transaction boundary — readers saw it, tickets resolved
-   against it — so it is the only state worth restoring. Journal-backed
-   services rebuild it by replaying the journal minus the in-flight batch
-   (and minus quarantined batches); journal-less services replay an
-   in-memory ledger: a pinned base clone plus every claim accepted since.
-   Either way the rebuilt stamps must equal the published ones exactly —
-   that equality is asserted, not assumed;
+   against it — so it is the only state worth restoring. The rollback
+   replays the journal minus the in-flight batch and minus every batch this
+   supervisor quarantined; it keeps those sequence numbers itself, so a
+   ``quarantine`` record that never reached the file cannot bring a poison
+   batch back. A service built without a journal opens a private one at
+   ``start()``, so the journal is the only rollback source. The rebuilt
+   stamps must equal the published ones exactly — that equality is
+   asserted, not assumed. A rebuild that raises or does not match is an
+   *impossible rollback*: the parked and queued tickets fail with it and
+   the supervisor ends;
 2. **restarts the worker** with bounded exponential backoff plus seeded
    jitter (``backoff_base`` · 2ⁿ, capped at ``backoff_cap``); the
    consecutive-crash budget (``max_restarts``) resets on every committed
@@ -63,9 +67,8 @@ import asyncio
 import random
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Union
+from typing import TYPE_CHECKING, Dict, List, Optional
 
-from ..data.model import Answer, Record, TruthDiscoveryDataset
 from .recovery import rebuild_dataset
 from .snapshots import PublishedResult
 from .worker import PendingBatch
@@ -77,16 +80,14 @@ if TYPE_CHECKING:
 class BatchQuarantined(RuntimeError):
     """The resolution of every ticket in a quarantined (poison) batch.
 
-    ``seq`` is the batch's journal sequence number (``None`` when the batch
-    never reached the journal — then no ``quarantine`` record is needed
-    either, there is nothing on disk to skip); ``cause`` describes the crash
-    that kept recurring.
+    ``seq`` is the batch's journal sequence number (for a batch whose append
+    never completed, the number the supervisor burned for it); ``cause``
+    describes the crash that kept recurring.
     """
 
-    def __init__(self, seq: Optional[int], cause: str) -> None:
-        label = f"batch seq={seq}" if seq is not None else "unjournaled batch"
+    def __init__(self, seq: int, cause: str) -> None:
         super().__init__(
-            f"{label} quarantined after repeated worker crashes ({cause})"
+            f"batch seq={seq} quarantined after repeated worker crashes ({cause})"
         )
         self.seq = seq
         self.cause = cause
@@ -144,14 +145,10 @@ class Supervisor:
         #: off this single attribute.
         self.degraded_since: Optional[float] = None
         self.last_crash: Optional[BaseException] = None
-        #: the journal-less rollback ledger (also the journal's fallback):
-        #: a version-pinned clone of the last rebased state plus every
-        #: claim committed since, in commit order.
-        self._base_clone: Optional[TruthDiscoveryDataset] = None
-        self._accepted: List[Union[Record, Answer]] = []
-        self.rebase_ledger()
+        #: every batch sequence number this supervisor quarantined; each
+        #: rollback skips them whether or not the quarantine record landed.
+        self._quarantined_seqs: List[int] = []
         self._worker.commit_listener = self._on_commit
-        self._worker.compaction_listener = self._on_compaction
 
     # ------------------------------------------------------------------
     # the supervised loop
@@ -195,7 +192,13 @@ class Supervisor:
             self._worker._finalize_pending(pending)
             self._repair_checkpoint_needed = True
         else:
-            self._rollback(pending)
+            try:
+                self._rollback(pending)
+            except Exception as rollback_failure:
+                # An impossible rollback: no state to retry from, so fail
+                # the parked batch and the queue before the supervisor dies.
+                self.abandon_pending(rollback_failure)
+                raise
             if (
                 pending is not None
                 and pending.crashes >= self._policy.quarantine_after
@@ -217,17 +220,16 @@ class Supervisor:
     def _rollback(self, pending: Optional[PendingBatch]) -> None:
         """Restore the dataset to the last published (= committed) state."""
         dataset = self._worker.dataset
-        latest = self._store.latest
-        if latest is None:
-            return  # crashed before the initial publish: nothing committed
+        latest = self._store.latest  # start() published before supervising
         if (
             dataset.version == latest.dataset_version
             and dataset.records_version == latest.records_version
         ):
             return  # crash preceded any mutation — the cheap common case
-        restored = self._rebuild_from_journal(pending, latest)
-        if restored is None:
-            restored = self._rebuild_from_ledger()
+        skip = list(self._quarantined_seqs)
+        if pending is not None and pending.seq is not None:
+            skip.append(pending.seq)
+        restored, _stats = rebuild_dataset(self._journal.path, skip_seqs=skip)
         if (
             restored.version != latest.dataset_version
             or restored.records_version != latest.records_version
@@ -239,76 +241,28 @@ class Supervisor:
             )
         self._service._adopt_dataset(restored)
 
-    def _rebuild_from_journal(
-        self, pending: Optional[PendingBatch], latest: PublishedResult
-    ) -> Optional[TruthDiscoveryDataset]:
-        journal = self._journal
-        if journal is None or journal.closed:
-            return None
-        skip = [pending.seq] if pending is not None and pending.seq is not None else []
-        try:
-            restored, _stats = rebuild_dataset(journal.path, skip_seqs=skip)
-        except Exception:
-            return None  # unreadable mid-crash journal: the ledger decides
-        if (
-            restored.version != latest.dataset_version
-            or restored.records_version != latest.records_version
-        ):
-            return None
-        return restored
-
-    def _rebuild_from_ledger(self) -> TruthDiscoveryDataset:
-        base = self._base_clone
-        restored = base.copy()
-        # copy() only carries version counters alongside a current columnar
-        # encoding; a ledger clone has none, so pin them explicitly — the
-        # rollback contract is stamp equality with the published snapshot.
-        restored._version = base.version
-        restored._records_version = base.records_version
-        for claim in self._accepted:
-            if isinstance(claim, Record):
-                restored.add_record(claim)
-            else:
-                restored.add_answer(claim)
-        return restored
-
-    def rebase_ledger(self) -> None:
-        """Re-anchor the in-memory ledger at the worker's current dataset.
-
-        Called at construction, after every compaction, and by
-        ``TruthService.compact()`` — points where the current dataset is
-        provably the fully published state.
-        """
-        dataset = self._worker.dataset
-        clone = dataset.copy()
-        clone._version = dataset.version
-        clone._records_version = dataset.records_version
-        self._base_clone = clone
-        self._accepted = []
-
     # ------------------------------------------------------------------
     # quarantine & terminal teardown
     # ------------------------------------------------------------------
     def _quarantine(self, pending: PendingBatch, exc: BaseException) -> None:
         cause = f"{type(exc).__name__}: {exc}"
-        seq: Optional[int] = pending.seq
-        if self._journal is not None and not self._journal.closed:
-            if seq is None:
-                # The append "failed", but a crash after the frame was
-                # written (an fsync fault, a torn prefix) can still have
-                # left bytes on disk carrying the current — never bumped —
-                # sequence number. Quarantine that speculative seq and burn
-                # it so the next batch cannot collide with the skip record.
-                seq = self._journal.batch_seq
-            try:
-                self._journal.append_quarantine(seq, cause)
-                if not pending.journaled:
-                    self._journal.batch_seq = max(self._journal.batch_seq, seq + 1)
-            except Exception:
-                # The decision stands even if recording it failed; replay
-                # would re-accept the batch, which only matters if this
-                # exact journal is later recovered — counted, not fatal.
-                self._metrics.journal_failures += 1
+        seq = pending.seq
+        if seq is None:
+            # The append "failed", but a crash after the frame was written
+            # (an fsync fault, a torn prefix) can still have left bytes on
+            # disk carrying the current — never bumped — sequence number.
+            # Quarantine that speculative seq and burn it so the next batch
+            # cannot collide with it.
+            seq = self._journal.batch_seq
+            self._journal.batch_seq = seq + 1
+        self._quarantined_seqs.append(seq)
+        try:
+            self._journal.append_quarantine(seq, cause)
+        except Exception:
+            # The decision stands even if recording it failed: rollbacks
+            # skip the seq from memory; only a recovery of this exact
+            # journal would re-accept the batch — counted, not fatal.
+            self._metrics.journal_failures += 1
         err = BatchQuarantined(seq, cause)
         for write in pending.writes:
             if not write.ticket.done():
@@ -346,15 +300,9 @@ class Supervisor:
     # ------------------------------------------------------------------
     def _on_commit(self, published: PublishedResult) -> None:
         # A committed publish is the proof of progress: the crash budget
-        # resets, and the published batch's claims enter the ledger.
+        # resets.
         self._consecutive_crashes = 0
         self._clear_degraded()
-        pending = self._worker.pending
-        if pending is not None and pending.applied_claims:
-            self._accepted.extend(pending.applied_claims)
-
-    def _on_compaction(self, info: Dict[str, int]) -> None:
-        self.rebase_ledger()
 
     def _clear_degraded(self) -> None:
         if self.degraded_since is not None:
@@ -382,7 +330,7 @@ class Supervisor:
         self._repair_checkpoint_needed = False
         journal = self._journal
         latest = self._store.latest
-        if journal is None or journal.closed or latest is None:
+        if journal.closed:
             return
         try:
             journal.append_checkpoint(
@@ -405,7 +353,6 @@ class Supervisor:
                 time.monotonic() - self.degraded_since if degraded else 0.0
             ),
             "pending_batch": self._worker.pending is not None,
-            "ledger_claims": len(self._accepted),
             "last_crash": repr(self.last_crash) if self.last_crash else None,
         }
 

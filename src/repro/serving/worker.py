@@ -3,8 +3,8 @@
 One worker per service, one consumer: every mutation of the dataset happens
 inside this single task, which is what makes the service deterministic under
 a fixed write order and lets the reader side stay lock-free (readers only
-ever touch immutable published snapshots). The *fit* itself, though, no
-longer runs on the event loop: ``fit_and_publish`` ships it to a
+ever touch immutable published snapshots). The *fit* itself, though, never
+runs on the event loop: ``fit_and_publish`` ships it to a
 single-thread executor (``loop.run_in_executor``), so a cold refit cannot
 freeze reads or enqueues — the worker coroutine simply awaits the executor
 future while the loop keeps scheduling readers and writers. No locking
@@ -14,8 +14,8 @@ the dataset, so there is still only ever one mutator.
 Per batch the worker does exactly five things:
 
 1. drain a micro-batch off the write queue (first write awaited, the rest
-   taken greedily up to ``batch_max``, with an optional ``batch_wait``
-   linger so sparse writers still amortise one fit over several writes);
+   taken greedily up to ``batch_max``, so a backlog amortises one fit over
+   many writes);
 2. **journal the batch** (when a :class:`~repro.serving.journal.
    WriteAheadJournal` is attached) *before* applying anything — classic WAL
    order: a write that could ever become visible is durable first. A failed
@@ -72,7 +72,7 @@ import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, List, Optional, Tuple, Union
 
 from ..data.model import Answer, DatasetError, Record, TruthDiscoveryDataset
 from ..inference.base import TruthInferenceAlgorithm, WarmStartDegradation
@@ -123,9 +123,7 @@ class PendingBatch:
     ``published_epoch`` marks the commit point (set the instant
     ``SnapshotStore.publish`` succeeds — a batch with it set is *never*
     retried); ``crashes`` drives quarantine; the ``attempt_*`` fields are
-    this attempt's metric increments, reversed on a pre-commit crash;
-    ``applied_claims`` is what the last attempt actually mutated into the
-    dataset (the journal-less supervisor's rollback ledger).
+    this attempt's metric increments, reversed on a pre-commit crash.
     """
 
     writes: List[Write]
@@ -136,7 +134,6 @@ class PendingBatch:
     attempt_applied: int = 0
     attempt_rejected: int = 0
     attempt_batched: bool = False
-    applied_claims: List[Union[Record, Answer]] = field(default_factory=list)
 
 
 class EMWorker:
@@ -152,10 +149,8 @@ class EMWorker:
         *,
         accepts_warm_start: bool,
         batch_max: int = 256,
-        batch_wait: float = 0.0,
         journal: Optional[WriteAheadJournal] = None,
         faults: Optional[FaultInjector] = None,
-        off_loop_fits: bool = True,
         supervised: bool = False,
         fit_timeout: Optional[float] = None,
     ) -> None:
@@ -170,10 +165,8 @@ class EMWorker:
         self._metrics = metrics
         self._accepts_warm_start = accepts_warm_start
         self._batch_max = batch_max
-        self._batch_wait = batch_wait
         self._journal = journal
         self._faults = faults
-        self._off_loop = off_loop_fits
         self._fit_pool: Optional[ThreadPoolExecutor] = None
         self._supervised = supervised
         self._fit_timeout = fit_timeout
@@ -181,11 +174,8 @@ class EMWorker:
         #: parked here across crash/rollback/retry until finalized.
         self.pending: Optional[PendingBatch] = None
         #: called with the PublishedResult the instant a publish commits
-        #: (the supervisor's crash-budget reset + rollback-ledger hook).
+        #: (the supervisor's crash-budget reset hook).
         self.commit_listener: Optional[Callable[[PublishedResult], None]] = None
-        #: called with compact()'s {before_bytes, after_bytes} after an
-        #: auto-compaction (the supervisor re-bases its in-memory ledger).
-        self.compaction_listener: Optional[Callable[[Dict[str, int]], None]] = None
 
     @property
     def dataset(self) -> TruthDiscoveryDataset:
@@ -291,7 +281,7 @@ class EMWorker:
             return
         if size <= journal.auto_compact_bytes:
             return
-        info = journal.compact(
+        journal.compact(
             self._dataset,
             epoch=published.epoch,
             dataset_version=published.dataset_version,
@@ -299,42 +289,31 @@ class EMWorker:
             applied_writes=published.applied_writes,
         )
         self._metrics.compactions += 1
-        if self.compaction_listener is not None:
-            self.compaction_listener(info)
 
     async def fit_and_publish(self) -> PublishedResult:
         """Refit warm-started from the latest publish, then publish.
 
-        The fit runs in a lazily created single-thread executor
-        (``off_loop_fits=True``, the default) so readers and writers stay
-        responsive during cold refits; the publish runs back on the loop.
-        Also used by ``TruthService.start`` for the initial fit, before the
-        worker task exists.
+        The fit always runs in a lazily created single-thread executor, so
+        readers and writers stay responsive during cold refits; the publish
+        runs back on the loop. Also used by ``TruthService.start`` for the
+        initial fit, before the worker task exists.
         """
-        if self._off_loop:
-            loop = asyncio.get_running_loop()
-            future = loop.run_in_executor(self._executor(), self._fit)
-            if self._fit_timeout is not None:
-                try:
-                    fitted = await asyncio.wait_for(future, self._fit_timeout)
-                except asyncio.TimeoutError:
-                    # Watchdog expiry: abandon the executor wholesale — a
-                    # fresh pool serves future fits while the wedged thread
-                    # finishes into the void (it only reads the dataset
-                    # object it was handed; nothing consumes its result).
-                    self._metrics.fit_timeouts += 1
-                    self._abandon_executor()
-                    raise FitTimeout(self._fit_timeout) from None
-            else:
-                fitted = await future
+        loop = asyncio.get_running_loop()
+        future = loop.run_in_executor(self._executor(), self._fit)
+        if self._fit_timeout is not None:
+            try:
+                fitted = await asyncio.wait_for(future, self._fit_timeout)
+            except asyncio.TimeoutError:
+                # Watchdog expiry: abandon the executor wholesale — a fresh
+                # pool serves future fits while the wedged thread finishes
+                # into the void (it only reads the dataset object it was
+                # handed; nothing consumes its result).
+                self._metrics.fit_timeouts += 1
+                self.shutdown()
+                raise FitTimeout(self._fit_timeout) from None
         else:
-            fitted = self._fit()
+            fitted = await future
         return self._publish(fitted)
-
-    def _abandon_executor(self) -> None:
-        if self._fit_pool is not None:
-            self._fit_pool.shutdown(wait=False)
-            self._fit_pool = None
 
     def _executor(self) -> ThreadPoolExecutor:
         if self._fit_pool is None:
@@ -355,8 +334,6 @@ class EMWorker:
     async def _take_batch(self) -> List[Write]:
         first = await self._queue.get()
         batch = [first]
-        if self._batch_wait > 0:
-            await asyncio.sleep(self._batch_wait)
         while len(batch) < self._batch_max and not self._queue.empty():
             batch.append(self._queue.get_nowait())
         return batch
@@ -385,7 +362,6 @@ class EMWorker:
         pending.attempt_applied = 0
         pending.attempt_rejected = 0
         pending.attempt_batched = False
-        pending.applied_claims = []
         try:
             if self._journal is not None and not pending.journaled:
                 try:
@@ -416,7 +392,6 @@ class EMWorker:
             self._metrics.batches += 1
             self._metrics.last_batch_size = len(batch)
             pending.attempt_batched = True
-            pending.applied_claims = [w.claim for w in applied]
             if not applied:
                 self._finalize_pending(pending)
                 return None

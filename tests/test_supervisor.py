@@ -11,13 +11,14 @@ lost.
 
 Also here: the ``FaultInjector`` repeatable-mode unit tests, the
 ``drain()``-raises-on-worker-death regression, degraded-read semantics,
-the restart budget, the fit watchdog, journal-less (ledger) rollback, and
-compaction crash-safety.
+the restart budget, the fit watchdog, journal-less rollback through a
+private journal, impossible rollbacks, and compaction crash-safety.
 """
 
 from __future__ import annotations
 
 import asyncio
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from repro.serving import (
     FaultInjector,
     FitTimeout,
     InjectedFault,
+    JournalError,
     Overloaded,
     ServiceClosed,
     SupervisionPolicy,
@@ -161,30 +163,50 @@ class TestRepeatableFaults:
 # ---------------------------------------------------------------------------
 # the healing kill matrix (the tentpole property)
 # ---------------------------------------------------------------------------
-@pytest.mark.parametrize("site", FaultInjector.SITES)
-def test_healing_kill_matrix(tmp_path, site):
+#: The sites a private journal (``fsync="never"``, no auto-compaction) can
+#: reach under the matrix: it never fsyncs a batch and never compacts.
+PRIVATE_JOURNAL_SITES = tuple(
+    site
+    for site in FaultInjector.SITES
+    if site not in ("journal.fsync", "journal.compact", "journal.compact.rename")
+)
+
+
+@pytest.mark.parametrize(
+    "journal_kind, site",
+    [pytest.param("file", site, id=site) for site in FaultInjector.SITES]
+    + [
+        pytest.param("private", site, id=f"private-{site}")
+        for site in PRIVATE_JOURNAL_SITES
+    ],
+)
+def test_healing_kill_matrix(tmp_path, journal_kind, site):
     """Every injection site × 3 repeated hits: the service heals in-process.
 
     Contract: after drain, ``get_truths`` equals a cold fit of exactly the
     acknowledged writes (quarantined batches excluded, their tickets
     resolved with ``BatchQuarantined``), epochs are dense, stamps monotone,
-    the worker is alive again, and a recovery of the journal the run left
-    behind agrees with the live service.
+    and the worker is alive again. With a file journal, a recovery of the
+    journal the run left behind agrees with the live service; a service
+    built without one heals through its private journal, which ``stop()``
+    removes.
     """
-    run(_healing_case(tmp_path, site))
+    run(_healing_case(tmp_path, site, journal_kind))
 
 
-async def _healing_case(tmp_path, site):
+async def _healing_case(tmp_path, site, journal_kind):
     faults = FaultInjector(seed=7)
     compaction_site = site.startswith("journal.compact")
-    journal = WriteAheadJournal(
-        tmp_path / "heal.wal",
-        fsync="always",
-        faults=faults,
-        # Compaction sites are only reachable during a compaction; a 1-byte
-        # threshold makes every checkpoint trigger one.
-        auto_compact_bytes=1 if compaction_site else None,
-    )
+    journal = None
+    if journal_kind == "file":
+        journal = WriteAheadJournal(
+            tmp_path / "heal.wal",
+            fsync="always",
+            faults=faults,
+            # Compaction sites are only reachable during a compaction; a
+            # 1-byte threshold makes every checkpoint trigger one.
+            auto_compact_bytes=1 if compaction_site else None,
+        )
     dataset = _small()
     mirror = dataset.copy()
     service = TruthService(
@@ -249,6 +271,13 @@ async def _healing_case(tmp_path, site):
     assert await ticket >= 1
     live = {obj: r.value for obj, r in service.get_truths().items()}
 
+    if journal is None:
+        # Nothing reads a private journal after the service: stop() drops it.
+        private_dir = Path(stats["journal"]["path"]).parent
+        await service.stop()
+        assert not private_dir.exists()
+        return
+
     # And the journal the whole ordeal left behind recovers to the same
     # truths — quarantine records replay, duplicates dedup, torn spans skip.
     service.crash()
@@ -263,8 +292,8 @@ async def _healing_case(tmp_path, site):
     await restored.stop(drain=False)
 
 
-def test_healing_without_journal_uses_the_ledger(tmp_path):
-    """Journal-less supervised services roll back via the in-memory ledger."""
+def test_healing_without_journal_uses_a_private_journal(tmp_path):
+    """Journal-less supervised services roll back via their private journal."""
 
     async def main():
         faults = FaultInjector(seed=5)
@@ -296,6 +325,48 @@ def test_healing_without_journal_uses_the_ledger(tmp_path):
         assert stats["worker_restarts"] >= 1
         assert stats["quarantines"] == 0
         await service.stop()
+
+    run(main())
+
+
+def test_private_journal_shows_in_stats_compacts_and_is_removed():
+    """A supervised service built without a journal opens a private one at
+    ``start()``: ``stats()`` shows it, ``compact()`` compacts it, and
+    ``stop()`` and ``crash()`` remove its directory."""
+
+    async def main():
+        dataset = _small()
+        service = TruthService(
+            dataset, _model(), batch_max=2, supervision=_fast_policy()
+        )
+        await service.start()
+        journal = service.stats()["journal"]
+        assert journal["fsync"] == "never"
+        wal = Path(journal["path"])
+        assert wal.parent.name.startswith("repro-rollback-")
+        for claim in _seeded_answers(dataset, 6, seed=53):
+            await _append(service, claim)
+        info = await service.compact()
+        assert info["before_bytes"] > 0
+        assert [e["kind"] for e in scan_journal(wal).entries] == [
+            "base", "checkpoint"
+        ]
+        stats = service.stats()
+        assert stats["compactions"] == 1 and stats["journal"]["fsyncs"] == 1
+        await service.stop()
+        assert not wal.parent.exists()
+
+        crashed = TruthService(_small(), _model(), supervision=_fast_policy())
+        await crashed.start()
+        private_dir = Path(crashed.stats()["journal"]["path"]).parent
+        crashed.crash()
+        assert not private_dir.exists()
+
+        # Unsupervised services keep running without any journal.
+        plain = TruthService(_small(), _model())
+        await plain.start()
+        assert "journal" not in plain.stats()
+        await plain.stop()
 
     run(main())
 
@@ -384,6 +455,109 @@ def test_crash_budget_resets_on_progress_but_exhausts_terminally(tmp_path):
             await service.append_answer(obj, "w2", dataset.candidates(obj)[0])
         assert service.get_truth(obj).value is not None
         await service.stop(drain=False)
+
+    run(main())
+
+
+def test_impossible_rollback_fails_pending_tickets_and_closes_writes(tmp_path):
+    """A rollback that cannot rebuild the published state ends the
+    supervisor at once: the parked and queued tickets raise instead of
+    hanging until ``stop()``, ``drain()`` raises, writes are refused, and
+    reads keep serving the last epoch."""
+
+    async def main():
+        faults = FaultInjector(seed=14)
+        path = tmp_path / "impossible.wal"
+        dataset = _small()
+        service = TruthService(
+            dataset,
+            _model(),
+            batch_max=1,
+            journal=WriteAheadJournal(path, faults=faults),
+            faults=faults,
+            supervision=_fast_policy(),
+        )
+        await service.start()
+        a, b, c = dataset.objects[:3]
+        assert await (await service.append_answer(a, "ir0", dataset.candidates(a)[0])) >= 1
+        published = service.latest.epoch
+        # Flip one byte inside the base frame's payload: from here on no
+        # rebuild of this journal can succeed.
+        start, end = scan_journal(path).spans[0]
+        flip_at = (start + end) // 2
+        with open(path, "r+b") as fh:
+            fh.seek(flip_at)
+            byte = fh.read(1)[0]
+            fh.seek(flip_at)
+            fh.write(bytes([byte ^ 0xFF]))
+        faults.arm("worker.fit", hit=faults.counts["worker.fit"] + 1)
+        parked = await service.append_answer(b, "ir1", dataset.candidates(b)[0])
+        queued = await service.append_answer(c, "ir2", dataset.candidates(c)[0])
+        for ticket in (parked, queued):
+            with pytest.raises(JournalError, match="no decodable base"):
+                await asyncio.wait_for(ticket, 5)
+        with pytest.raises(JournalError):
+            await service.drain()
+        with pytest.raises(ServiceClosed):
+            await service.append_answer(a, "ir3", dataset.candidates(a)[0])
+        reads = service.get_truths()
+        assert {r.epoch for r in reads.values()} == {published}
+        await service.stop(drain=False)
+
+    run(main())
+
+
+def test_lost_quarantine_record_does_not_break_a_later_rollback(tmp_path):
+    """A quarantine record torn on its way to the file is counted, not
+    fatal: the supervisor still skips the poison batch in every later
+    rollback, so a crash after it heals to exactly the acknowledged
+    writes."""
+
+    async def main():
+        faults = FaultInjector(seed=15)
+        journal = WriteAheadJournal(tmp_path / "lost.wal", faults=faults)
+        dataset = _small()
+        mirror = dataset.copy()
+        service = TruthService(
+            dataset,
+            _model(),
+            batch_max=1,
+            journal=journal,
+            faults=faults,
+            supervision=_fast_policy(quarantine_after=2),
+        )
+        await service.start()
+        healthy, poison, later = _seeded_answers(dataset, 3, seed=47)
+        assert await (await _append(service, healthy)) >= 1
+        # The poison batch's fit crashes twice, so it is quarantined. Its
+        # batch frame is the next pass through journal.torn, and its
+        # quarantine record the one after: tear the record.
+        faults.arm(
+            "worker.fit", hit=faults.counts["worker.fit"] + 1, hits_remaining=2
+        )
+        faults.arm(
+            "journal.torn", hit=faults.counts["journal.torn"] + 2, torn=True
+        )
+        with pytest.raises(BatchQuarantined):
+            await (await _append(service, poison))
+        assert not faults.armed("journal.torn")
+        assert scan_journal(journal.path).quarantined_seqs == []
+        # One crash of a later batch: its rollback must still skip the
+        # poison batch, whose record never reached the file.
+        faults.arm("worker.fit", hit=faults.counts["worker.fit"] + 1)
+        assert await (await _append(service, later)) >= 1
+        await service.drain()
+        mirror.add_answer(healthy)
+        mirror.add_answer(later)
+        expected = _cold().fit(mirror).truths()
+        live = {obj: r.value for obj, r in service.get_truths().items()}
+        assert live == expected
+        stats = service.stats()
+        assert stats["journal_failures"] == 1
+        assert stats["quarantines"] == 1
+        assert stats["worker_restarts"] == 3
+        assert stats["worker_alive"] is True
+        await service.stop()
 
     run(main())
 
@@ -658,9 +832,9 @@ def test_auto_compaction_bounds_the_file(tmp_path):
     run(main())
 
 
-def test_supervised_auto_compaction_rebases_the_ledger(tmp_path):
+def test_supervised_rollback_after_auto_compaction_rebuilds_exactly(tmp_path):
     """After a compaction, a later rollback must anchor at the compacted
-    base — the ledger rebase hook — and still reconstruct exactly."""
+    base and still reconstruct exactly."""
 
     async def main():
         faults = FaultInjector(seed=12)
@@ -684,7 +858,7 @@ def test_supervised_auto_compaction_rebases_the_ledger(tmp_path):
         await service.drain()  # several auto-compactions have happened
         assert journal.compactions >= 1
         # Now crash a fit mid-batch: rollback must rebuild from the
-        # compacted journal (or the rebased ledger) and retry cleanly.
+        # compacted journal and retry cleanly.
         faults.arm("worker.fit", hit=faults.counts["worker.fit"] + 1)
         tickets = [await _append(service, claim) for claim in rest]
         await service.drain()
