@@ -17,10 +17,11 @@ existing report — the speedup benchmark owns the other keys):
   sorts the splice eliminates are only ~55% of a cold build (the rest is
   writing the six O(pairs) arrays, which any refresh must do), so ~3.5-4.5x
   is the ceiling of *any* splice at these scales.
-* ``crowd_loop`` — a Figure-6-style TDH+EAI loop run under
-  ``--engine columnar`` and ``--engine reference``: the assignment
-  sequences, per-round accuracies and final truths must match **exactly**,
-  and the per-engine wall times are recorded.
+* ``crowd_loop`` — a Figure-6-style TDH+EAI loop run with the production
+  classes and with their dict-loop oracles from ``tests/oracles.py``
+  (``TDHOracle`` + ``EAIOracle``, which the ``reference`` fields time): the
+  assignment sequences, per-round accuracies and final truths must match
+  **exactly**, and both wall times are recorded.
 
 Parity/equality assertions run in the default suite (deterministic); the
 wall-clock threshold lives in a ``slow``-marked test so only the
@@ -35,6 +36,8 @@ import time
 
 import numpy as np
 import pytest
+
+from oracles import EAIOracle, TDHOracle
 
 from repro.assignment import EAIAssigner
 from repro.crowd.simulator import CrowdSimulator
@@ -208,14 +211,15 @@ def pair_splice_report(appender_report, merge_bench_artifact):
 
 @pytest.fixture(scope="module")
 def crowd_loop_report(merge_bench_artifact):
-    """Fig-6-style TDH+EAI loop under both engines; equality + wall times."""
+    """Fig-6-style TDH+EAI loop, production classes vs the dict-loop
+    oracles; equality + wall times."""
 
-    def run(engine: str):
+    def run(model_cls, assigner_cls):
         dataset = make_birthplaces(size=400, seed=7)
         simulator = CrowdSimulator(
             dataset,
-            TDHModel(max_iter=20, tol=1e-4, use_columnar=engine),
-            EAIAssigner(use_columnar=engine),
+            model_cls(max_iter=20, tol=1e-4),
+            assigner_cls(),
             make_worker_pool(8, seed=3),
             rng=np.random.default_rng(11),
         )
@@ -223,8 +227,8 @@ def crowd_loop_report(merge_bench_artifact):
         history = simulator.run(rounds=3, tasks_per_worker=5)
         return simulator, history, time.perf_counter() - t0
 
-    sim_col, hist_col, col_seconds = run("columnar")
-    sim_ref, hist_ref, ref_seconds = run("reference")
+    sim_col, hist_col, col_seconds = run(TDHModel, EAIAssigner)
+    sim_ref, hist_ref, ref_seconds = run(TDHOracle, EAIOracle)
     report = {
         "rounds": 3,
         "objects": 400,
@@ -252,7 +256,8 @@ def test_appended_encoding_matches_cold_rebuild(appender_report, merge_bench_art
 
 
 def test_crowd_loop_engines_agree(crowd_loop_report):
-    """Deterministic half of the loop benchmark: exact engine agreement."""
+    """Deterministic half of the loop benchmark: exact agreement with the
+    oracles."""
     assert crowd_loop_report["assignments_equal"]
     assert crowd_loop_report["truths_equal"]
     assert crowd_loop_report["accuracy_series_equal"]

@@ -1,11 +1,13 @@
-"""Head-to-head micro-benchmark: reference vs columnar execution engines.
+"""Head-to-head micro-benchmark: the columnar engine vs the dict-loop oracle.
 
-Runs every dual-engine algorithm — majority vote, Dawid-Skene, ZenCrowd,
-CRH, and (since the full columnar port) TDH, LFC, ACCU, POPACCU, LCA, DOCS
-and ASUMS — over a synthetic BirthPlaces-style dataset with >= 5,000 objects
-through both engines, checks parity (identical argmax truths, confidences
-within 1e-8) and records wall times into ``BENCH_columnar.json`` at the repo
-root — the artifact the CI benchmark job uploads.
+Runs every ported algorithm — majority vote, Dawid-Skene, ZenCrowd, CRH,
+TDH, LFC, ACCU, POPACCU, LCA, DOCS and ASUMS — over a synthetic
+BirthPlaces-style dataset with >= 5,000 objects, once as the production
+class (the columnar engine) and once as its dict-loop oracle from
+``tests/oracles.py``, which the ``reference`` fields of the report time.
+It checks parity (identical argmax truths, confidences within 1e-8) and
+records wall times into ``BENCH_columnar.json`` at the repo root — the
+artifact the CI benchmark job uploads.
 
 Parity and artifact generation run in the default suite (deterministic); the
 wall-clock speedup thresholds live in a ``slow``-marked test so a loaded CI
@@ -25,6 +27,20 @@ import time
 import numpy as np
 import pytest
 
+from oracles import (
+    AccuOracle,
+    AsumsOracle,
+    CrhOracle,
+    DawidSkeneOracle,
+    DocsOracle,
+    GuessLcaOracle,
+    LfcOracle,
+    PopAccuOracle,
+    TDHOracle,
+    VoteOracle,
+    ZenCrowdOracle,
+)
+
 from repro.datasets import make_birthplaces
 from repro.inference import (
     Accu,
@@ -42,18 +58,24 @@ from repro.inference import (
 
 N_OBJECTS = 5000
 
+def _pair(production, oracle, **kwargs):
+    """``factory(True)`` builds the production class, ``factory(False)`` its
+    dict-loop oracle, both with the same settings."""
+    return lambda columnar: (production if columnar else oracle)(**kwargs)
+
+
 ALGORITHMS = {
-    "VOTE": lambda engine: Vote(use_columnar=engine),
-    "DS": lambda engine: DawidSkene(max_iter=8, use_columnar=engine),
-    "ZENCROWD": lambda engine: ZenCrowd(max_iter=8, use_columnar=engine),
-    "CRH": lambda engine: Crh(max_iter=15, use_columnar=engine),
-    "TDH": lambda engine: TDHModel(max_iter=6, use_columnar=engine),
-    "LFC": lambda engine: Lfc(max_iter=6, use_columnar=engine),
-    "ACCU": lambda engine: Accu(max_iter=5, use_columnar=engine),
-    "POPACCU": lambda engine: PopAccu(max_iter=5, use_columnar=engine),
-    "LCA": lambda engine: GuessLca(max_iter=8, use_columnar=engine),
-    "DOCS": lambda engine: Docs(max_iter=8, use_columnar=engine),
-    "ASUMS": lambda engine: Asums(max_iter=8, use_columnar=engine),
+    "VOTE": _pair(Vote, VoteOracle),
+    "DS": _pair(DawidSkene, DawidSkeneOracle, max_iter=8),
+    "ZENCROWD": _pair(ZenCrowd, ZenCrowdOracle, max_iter=8),
+    "CRH": _pair(Crh, CrhOracle, max_iter=15),
+    "TDH": _pair(TDHModel, TDHOracle, max_iter=6),
+    "LFC": _pair(Lfc, LfcOracle, max_iter=6),
+    "ACCU": _pair(Accu, AccuOracle, max_iter=5),
+    "POPACCU": _pair(PopAccu, PopAccuOracle, max_iter=5),
+    "LCA": _pair(GuessLca, GuessLcaOracle, max_iter=8),
+    "DOCS": _pair(Docs, DocsOracle, max_iter=8),
+    "ASUMS": _pair(Asums, AsumsOracle, max_iter=8),
 }
 
 # The acceptance bars apply to the algorithms the issues name (VOTE and
@@ -130,12 +152,13 @@ def bench_report(merge_bench_artifact):
 
 
 def test_columnar_parity_at_scale(bench_report, merge_bench_artifact):
-    """Deterministic half: both engines agree at the 5k-object scale, and the
-    artifact is written. Safe for the blocking CI matrix."""
+    """Deterministic half: every algorithm agrees with its oracle at the
+    5k-object scale, and the artifact is written. Safe for the blocking CI
+    matrix."""
     failures = []
     for name, row in bench_report["algorithms"].items():
         if not row["truths_equal"]:
-            failures.append(f"{name}: truths diverge between engines")
+            failures.append(f"{name}: truths diverge from the oracle")
         if row["max_confidence_diff"] > 1e-8:
             failures.append(
                 f"{name}: confidence diff {row['max_confidence_diff']:.2e} > 1e-8"

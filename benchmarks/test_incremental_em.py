@@ -138,8 +138,8 @@ def incremental_report(merge_bench_artifact):
         base.add_answer(Answer(obj, f"bench_w{w}", value))
 
     models = {
-        "TDH": lambda inc: TDHModel(use_columnar=True, incremental=inc),
-        "DS": lambda inc: DawidSkene(use_columnar=True, incremental=inc),
+        "TDH": lambda inc: TDHModel(incremental=inc),
+        "DS": lambda inc: DawidSkene(incremental=inc),
     }
     report: Dict[str, object] = {
         "objects": N_OBJECTS,

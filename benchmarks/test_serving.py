@@ -162,7 +162,7 @@ def serving_report(artifact) -> Dict[str, object]:
     async def load() -> Dict[str, object]:
         service = TruthService(
             base,
-            TDHModel(use_columnar=True, incremental=True),
+            TDHModel(incremental=True),
             max_pending=512,
             batch_max=BATCH_MAX,
         )
@@ -204,7 +204,7 @@ def serving_report(artifact) -> Dict[str, object]:
     for stream in streams:  # identical stream onto the mirror, then cold-fit it
         for obj, worker, value in stream:
             mirror.add_answer(Answer(obj, worker, value))
-    cold_truths = TDHModel(use_columnar=True).fit(mirror).truths()
+    cold_truths = TDHModel().fit(mirror).truths()
     final_truths = outcome["final_truths"]
     agreement = float(
         np.mean([final_truths[o] == t for o, t in cold_truths.items()])
@@ -255,7 +255,7 @@ def journal_report(serving_report, artifact, tmp_path_factory) -> Dict[str, obje
         sample = base.objects[:: N_OBJECTS // READ_SAMPLE][:READ_SAMPLE]
         service = TruthService(
             base,
-            TDHModel(use_columnar=True, incremental=True),
+            TDHModel(incremental=True),
             max_pending=512,
             batch_max=BATCH_MAX,
             journal=journal,
@@ -292,7 +292,7 @@ def journal_report(serving_report, artifact, tmp_path_factory) -> Dict[str, obje
     async def recover_timed() -> Dict[str, object]:
         t_recover = time.perf_counter()
         recovered, recovery = await recover(
-            path, TDHModel(use_columnar=True, incremental=True), run_worker=False
+            path, TDHModel(incremental=True), run_worker=False
         )
         recover_total_seconds = time.perf_counter() - t_recover
         recovered_truths = {o: r.value for o, r in recovered.get_truths().items()}
@@ -366,7 +366,7 @@ def mixed_report(serving_report, artifact) -> Dict[str, object]:
     async def load() -> Dict[str, object]:
         service = TruthService(
             base,
-            TDHModel(use_columnar=True, incremental=True),
+            TDHModel(incremental=True),
             max_pending=512,
             batch_max=BATCH_MAX,
         )
@@ -403,7 +403,7 @@ def mixed_report(serving_report, artifact) -> Dict[str, object]:
             mirror.add_answer(Answer(obj, worker, value))
     for obj, source, value in claims:
         mirror.add_record(Record(obj, source, value))
-    cold_truths = TDHModel(use_columnar=True).fit(mirror).truths()
+    cold_truths = TDHModel().fit(mirror).truths()
     final_truths = outcome["final_truths"]
     agreement = float(
         np.mean([final_truths[o] == t for o, t in cold_truths.items()])

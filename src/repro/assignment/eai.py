@@ -17,18 +17,18 @@ Assignment (Algorithm 1) walks objects in decreasing order of the upper bound
 and stops as soon as no remaining object can beat any worker's current
 worst assigned task — the pruning evaluated in Figure 13.
 
-Like the inference algorithms, the assigner ships two engines behind
-``use_columnar`` (``"auto"`` by default). Both share Algorithm 1's control
-flow (the walk, pruning, eviction cascade and tie-breaks) and differ only in
-how the walk obtains ``EAI(w, o)``. The reference engine computes one pair
-per call over the per-object
-:class:`~repro.inference._structures.ObjectStructure` likelihood matrices,
-the shape the equations are written in; it is kept as the parity oracle.
-The columnar engine consumes the TDH EM state as flat slot arrays (``mu``,
-``N_{o,v}``, ``D_o``) plus worker-likelihood case weights over the
-encoding's candidate x candidate cross-join
+The assigner consumes the TDH fit's columnar state
+(:attr:`~repro.inference.tdh.TDHResult.columnar_state`): the flat slot
+arrays ``mu``, ``N_{o,v}`` and ``D_o`` of its encoding, plus worker-likelihood
+case weights over that encoding's candidate x candidate cross-join
 (:attr:`~repro.data.columnar.ColumnarClaims.slot_pairs`), cached per
-``records_version``, and computes the measure in blocks:
+``records_version``. A result it cannot read that way — one without columnar
+state, one fitted on another dataset object, or one whose dataset gained
+records since the fit — is refused with
+:class:`~repro.data.columnar.StaleEncodingError`: refit first. Answers added
+since the fit need no refit, because an answer names an existing candidate
+and so moves neither the slot layout nor the source-claim popularity counts.
+The measure is computed in blocks:
 
 * **Block kernel.** Each round groups the objects by candidate count
   ``|Vo|`` and stacks each group's inputs once; one array pass then
@@ -41,25 +41,27 @@ encoding's candidate x candidate cross-join
   walk reaches them, then looked up, so pruning still bounds the kernel's
   work: ``eai_pairs_computed`` counts the pairs computed, next to the walk's
   ``eai_evaluations`` lookups.
-* **Bitwise contract.** The kernel applies the reference's operations in the
-  reference's order: elementwise steps, one matrix-vector product per
-  object, reductions along the contiguous last axis, and the expectation
-  accumulated answer by answer. Every value therefore equals the
-  reference's bit for bit, and the engines make identical assignments with
-  identical evaluation counts (``tests/test_columnar_parity.py``, with
-  candidate sets wide enough to reach NumPy's pairwise summation, and the
-  crowd-loop regression test).
+* **Bitwise contract.** The kernel applies the operations of the per-pair
+  dict-loop oracle (``tests/oracles.py``, over the per-object
+  :class:`~repro.inference._structures.ObjectStructure` likelihood
+  matrices, the shape the equations are written in) in the oracle's order:
+  elementwise steps, one matrix-vector product per object, reductions along
+  the contiguous last axis, and the expectation accumulated answer by
+  answer. Every value therefore equals the oracle's bit for bit, and the two
+  make identical assignments with identical evaluation counts
+  (``tests/test_columnar_parity.py``, with candidate sets wide enough to
+  reach NumPy's pairwise summation, and the crowd-loop regression test).
 """
 
 from __future__ import annotations
 
 import heapq
 from bisect import bisect_left
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..data.columnar import ColumnarClaims, resolve_engine
+from ..data.columnar import ColumnarClaims, StaleEncodingError
 from ..data.model import ObjectId, TruthDiscoveryDataset, WorkerId
 from ..inference.tdh import TDHResult
 from .base import Assignment, TaskAssigner
@@ -76,7 +78,7 @@ class _ColumnarEaiState:
     ``denom`` / ``mu_max`` are per-object, and ``case2`` /
     ``case3`` are the worker-likelihood case weights per candidate pair
     (see :func:`_worker_case_arrays`). Built by
-    :meth:`EAIAssigner._activate_state`; dropped when the result changes.
+    :meth:`EAIAssigner._activate`; dropped when the result changes.
     """
 
     def __init__(
@@ -101,7 +103,7 @@ class _ColumnarEaiState:
         self.sizes = col.sizes
         self.index = col.object_index
         # max_v mu_{o,v} per object; max is order-independent, so reduceat
-        # matches the reference's per-object ``mu.max()`` bit for bit.
+        # matches a per-object ``mu.max()`` bit for bit.
         self.mu_max = (
             np.maximum.reduceat(mu, col.value_offsets[:-1])
             if col.n_objects
@@ -113,7 +115,7 @@ class _ColumnarEaiState:
 
         Mirrors :meth:`ObjectStructure.worker_likelihood_row` arithmetic
         (``psi1 * case2 + psi2 * case3`` then ``+= psi0`` on the diagonal) so
-        both engines produce bitwise-identical likelihoods.
+        the likelihoods are bitwise those of the dict-loop oracle.
         """
         p0, p1 = self.pair_offsets[oid], self.pair_offsets[oid + 1]
         n = int(self.sizes[oid])
@@ -127,7 +129,7 @@ class _ColumnarEaiState:
 
         The flat counterpart of :meth:`ObjectStructure.worker_likelihood_row`
         — same operations, so the single-row Eq. (18) path stays bitwise
-        equal to the reference without materialising the full matrix.
+        equal to the oracle without materialising the full matrix.
         """
         n = int(self.sizes[oid])
         start = self.pair_offsets[oid] + answer_pos * n
@@ -188,14 +190,14 @@ def _eai_stacked(
     """``EAI(w, o)`` (Eq. 14-18) for ``m`` objects with ``n`` candidates each,
     from :meth:`_ColumnarEaiState.stacked` inputs, in one array pass.
 
-    These are the reference engine's per-object operations in the reference's
+    These are the per-object operations of the dict-loop oracle in its
     order, stacked along a leading object axis. Every step is elementwise, a
     per-object matrix-vector product, or a reduction along the contiguous
-    last axis, so each object's value is bitwise the one the reference
+    last axis, so each object's value is bitwise the one the oracle
     computes on its own: the likelihood matrices are
-    :meth:`_ColumnarEaiState.likelihood`'s, the row sums are the reference's
+    :meth:`_ColumnarEaiState.likelihood`'s, the row sums are the oracle's
     per-row sums, and the expectation accumulates answer by answer with the
-    reference's skip rule for answers of probability ``<= 0``.
+    oracle's skip rule for answers of probability ``<= 0``.
     """
     case2, case3, mu, numer, denom, mu_max = inputs
     m = len(mu)
@@ -215,7 +217,7 @@ def _eai_stacked(
         z_pos[:, :, None], joint / np.where(z_pos, z, 1.0)[:, :, None], mu[:, None, :]
     )
     conditional = (numer[:, None, :] + posterior) / (denom + 1.0)[:, None, None]
-    # The reference skips answers of probability <= 0; here they add +0.0,
+    # The oracle skips answers of probability <= 0; here they add +0.0,
     # which leaves the non-negative running sum unchanged.
     terms = np.where(dist <= 0, 0.0, dist * _row_max(conditional))
     expected_best = terms[:, 0]
@@ -323,13 +325,6 @@ class EAIAssigner(TaskAssigner):
         by the Figure 13 experiment; the resulting assignment is identical.
     default_psi:
         Trustworthiness prior for workers that have not answered yet.
-    use_columnar:
-        Engine selector (``True`` / ``False`` / ``"auto"``, plus the CLI's
-        ``"columnar"`` / ``"reference"``); see
-        :func:`repro.data.columnar.resolve_engine`. The columnar engine
-        evaluates the quality measure over flat slot arrays; the reference
-        engine walks the per-object ``ObjectStructure`` matrices. Both
-        produce identical assignments.
     """
 
     name = "EAI"
@@ -338,11 +333,9 @@ class EAIAssigner(TaskAssigner):
         self,
         use_pruning: bool = True,
         default_psi: Tuple[float, float, float] = (0.6, 0.2, 0.2),
-        use_columnar: Union[bool, str] = "auto",
     ) -> None:
         self.use_pruning = use_pruning
         self.default_psi = np.asarray(default_psi, dtype=float)
-        self.use_columnar = use_columnar
         # Instrumentation for the Fig 13 bench, reset by each assign():
         # quality-measure lookups, and (worker, object) pairs actually
         # computed — the lazy tables compute in blocks, so the two differ.
@@ -356,58 +349,35 @@ class EAIAssigner(TaskAssigner):
     # ------------------------------------------------------------------
     # columnar state
     # ------------------------------------------------------------------
-    def _activate_state(
+    def _activate(
         self, dataset: TruthDiscoveryDataset, result: TDHResult
-    ) -> Optional[_ColumnarEaiState]:
-        """Build (or refuse) the flat-array state for this round.
-
-        Returns ``None`` — meaning the reference path runs — when the engine
-        resolves to the dict loops, or when the result's layout no longer
-        matches the dataset's current encoding (e.g. records were added
-        between ``fit`` and ``assign``). While a state is active, the public
-        quality-measure methods dispatch to the vectorized path for *this*
-        result; any other result falls back to the reference path.
-        """
+    ) -> _ColumnarEaiState:
+        """Build this round's flat-array state from ``result``'s columnar
+        state, or raise :class:`StaleEncodingError` when ``result`` does not
+        describe ``dataset``'s current records."""
         self._state = None
-        if not resolve_engine(self.use_columnar, dataset):
-            return None
-        if getattr(result, "dataset", None) is not dataset:
-            # Mutation counters only order mutations of one dataset object;
-            # across clones they can coincide while the claims diverge, so a
-            # foreign result always takes the reference path.
-            return None
-        if getattr(dataset, "_records_version", 0) != getattr(
-            result, "records_version", None
-        ):
-            # Records landed between fit and assign: the Pop2/Pop3 weights
-            # (and possibly the slot layout) no longer describe the result's
-            # world. The reference path keeps the fit-time StructureCache,
-            # so it remains the consistent engine here. (Checked before
-            # touching dataset.columnar() so refusal never builds arrays.)
-            return None
-        col = dataset.columnar()
-
-        flat = getattr(result, "columnar_state", None)
-        if flat is not None and flat[0].version == getattr(dataset, "_version", 0):
-            # Hot path: the result came from the columnar TDH fit on this
-            # very dataset state — its flat EM arrays are already aligned.
-            col, mu, numer, denom = flat
-        else:
-            # Reference-fit result (or layout drift): rebuild the flat view
-            # from the dicts, refusing when the slot layout moved underneath.
-            conf = result.confidences
-            if list(conf) != col.objects:
-                return None
-            if any(
-                len(conf[obj]) != int(size)
-                for obj, size in zip(col.objects, col.sizes)
-            ):
-                return None
-            mu = np.concatenate([conf[obj] for obj in col.objects])
-            numer = np.concatenate([result.numerators[obj] for obj in col.objects])
-            denom = np.asarray(
-                [result.denominators[obj] for obj in col.objects], dtype=np.float64
+        if getattr(result, "columnar_state", None) is None:
+            raise StaleEncodingError(
+                "EAI reads the TDH fit's columnar state and this result has"
+                " none; refit with TDHModel"
             )
+        if result.dataset is not dataset:
+            # Mutation counters only order mutations of one dataset object;
+            # across clones they can coincide while the claims diverge.
+            raise StaleEncodingError(
+                "the TDH result was fitted on a different dataset object;"
+                " refit on this dataset"
+            )
+        if getattr(dataset, "_records_version", 0) != result.records_version:
+            # Records landed between fit and assign: the slot layout or the
+            # Pop2/Pop3 weights no longer describe the result's world.
+            raise StaleEncodingError(
+                "records were added to the dataset since the TDH fit; refit"
+                " before assigning"
+            )
+        # Answers cannot add candidates or change the source-claim counts,
+        # so with records_version unchanged the fit-time encoding is current.
+        col, mu, numer, denom = result.columnar_state
 
         cache = result.structures
         flags = (
@@ -426,9 +396,12 @@ class EAIAssigner(TaskAssigner):
         self._state = _ColumnarEaiState(result, col, mu, numer, denom, case2, case3)
         return self._state
 
-    def _state_for(self, result: TDHResult) -> Optional[_ColumnarEaiState]:
+    def _state_for(self, result: TDHResult) -> _ColumnarEaiState:
+        """The state of ``result``: this round's, or built on first use."""
         state = self._state
-        return state if state is not None and state.result is result else None
+        if state is not None and state.result is result:
+            return state
+        return self._activate(result.dataset, result)
 
     # ------------------------------------------------------------------
     # quality measure
@@ -438,40 +411,24 @@ class EAIAssigner(TaskAssigner):
     ) -> np.ndarray:
         """``mu_{o, . | v_w = v'}`` by one incremental EM step (Eq. 18)."""
         state = self._state_for(result)
-        if state is not None:
-            oid = state.index[obj]
-            start, end = state.offsets[oid], state.offsets[oid + 1]
-            mu = state.mu[start:end]
-            likelihood = state.likelihood_row(oid, answer_pos, worker_psi)
-            joint = likelihood * mu
-            z = joint.sum()
-            f = joint / z if z > 0 else mu
-            return (state.numer[start:end] + f) / (state.denom[oid] + 1.0)
-        structure = result.structures.get(obj)
-        mu = result.confidences[obj]
-        likelihood = structure.worker_likelihood_row(answer_pos, worker_psi)
+        oid = state.index[obj]
+        start, end = state.offsets[oid], state.offsets[oid + 1]
+        mu = state.mu[start:end]
+        likelihood = state.likelihood_row(oid, answer_pos, worker_psi)
         joint = likelihood * mu
         z = joint.sum()
         f = joint / z if z > 0 else mu
-        numerator = result.numerators[obj] + f
-        return numerator / (result.denominators[obj] + 1.0)
+        return (state.numer[start:end] + f) / (state.denom[oid] + 1.0)
 
     def answer_distribution(
         self, result: TDHResult, obj: ObjectId, worker_psi: np.ndarray
     ) -> np.ndarray:
         """``P(v_w = v' | psi_w, mu_o)`` for every candidate ``v'`` (Eq. 6)."""
         state = self._state_for(result)
-        if state is not None:
-            oid = state.index[obj]
-            start, end = state.offsets[oid], state.offsets[oid + 1]
-            mu = state.mu[start:end]
-            dist = state.likelihood(oid, worker_psi) @ mu
-            total = dist.sum()
-            return dist / total if total > 0 else np.full(len(mu), 1.0 / len(mu))
-        structure = result.structures.get(obj)
-        mu = result.confidences[obj]
-        likelihood = structure.worker_likelihood(worker_psi)  # rows = answers
-        dist = likelihood @ mu
+        oid = state.index[obj]
+        start, end = state.offsets[oid], state.offsets[oid + 1]
+        mu = state.mu[start:end]
+        dist = state.likelihood(oid, worker_psi) @ mu
         total = dist.sum()
         return dist / total if total > 0 else np.full(len(mu), 1.0 / len(mu))
 
@@ -487,18 +444,7 @@ class EAIAssigner(TaskAssigner):
         self.eai_pairs_computed += 1
         n_objects = n_objects if n_objects is not None else len(result.confidences)
         state = self._state_for(result)
-        if state is not None:
-            return state.eai(state.index[obj], worker_psi, n_objects)
-        mu = result.confidences[obj]
-        current_best = float(mu.max())
-        answer_probs = self.answer_distribution(result, obj, worker_psi)
-        expected_best = 0.0
-        for answer_pos, p_answer in enumerate(answer_probs):
-            if p_answer <= 0:
-                continue
-            conditional = self.conditional_confidence(result, obj, worker_psi, answer_pos)
-            expected_best += float(p_answer) * float(conditional.max())
-        return (expected_best - current_best) / n_objects
+        return state.eai(state.index[obj], worker_psi, n_objects)
 
     @staticmethod
     def ueai(result: TDHResult, obj: ObjectId, n_objects: Optional[int] = None) -> float:
@@ -532,28 +478,22 @@ class EAIAssigner(TaskAssigner):
             workers, key=lambda w: float(psi_by_worker[w][0]), reverse=True
         )
 
-        # Engine selection: a non-None state routes the walk's lookups (and
-        # any later eai() on the same result, e.g. the simulator's
-        # improvement estimate) through the flat slot arrays. While a state
-        # exists, `objects` lists the encoding's objects in object-id order.
-        state = self._activate_state(dataset, result)
-        if state is not None:
-            # Lemma 4.1 upper bounds for all objects in one vectorized pass.
-            ueai = (1.0 - state.mu_max) / (n_objects * (state.denom + 1.0))
-        else:
-            ueai = np.array([self.ueai(result, obj, n_objects) for obj in objects])
+        # This round's state also serves any later eai() on the same result,
+        # e.g. the simulator's improvement estimate. `objects` lists the
+        # encoding's objects in object-id order.
+        state = self._activate(dataset, result)
+        # Lemma 4.1 upper bounds for all objects in one vectorized pass.
+        ueai = (1.0 - state.mu_max) / (n_objects * (state.denom + 1.0))
         # The walk pops objects in decreasing UEAI, ties in insertion order
         # (lines 1-2), and addresses them by that rank from here on.
         order = np.argsort(-ueai, kind="stable")
         ranked_objects = [objects[i] for i in order.tolist()]
         bounds = ueai[order].tolist()
 
-        ranked = _RankedEai(state, order, n_objects) if state is not None else None
+        ranked = _RankedEai(state, order, n_objects)
 
         def lookup_for(worker: WorkerId) -> Callable[[int], float]:
             psi = psi_by_worker[worker]
-            if state is None:
-                return lambda rank: self.eai(result, ranked_objects[rank], psi, n_objects)
             # EAI values by rank, computed in growing blocks as the walk asks
             # for them: it only asks for popped objects (displaced ones were
             # popped earlier), so pruning still bounds the kernel work.

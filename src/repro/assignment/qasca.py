@@ -8,55 +8,47 @@ the improvement is ``max_v mu_{o,v|v'} - max_v mu_{o,v}`` with
 ``mu_{o,v|v'} ∝ mu_{o,v} * P(v' | truth=v)`` (a pure Bayes update with no
 claim-count damping), for a sampled ``v'``.
 
-Like EAI, the assigner ships two engines behind ``use_columnar`` (``"auto"``
-by default). The reference engine normalises ``result.confidences[obj]`` and
-rebuilds the worker likelihood matrix from scratch on every
-``(worker, object)`` evaluation — the shape the formulas are written in,
-kept as the parity oracle. The columnar engine consumes the TDH EM state as
-one flat slot array: the per-object confidence normalisation runs once per
-round instead of once per evaluation, the worker accuracies are resolved
-once per round, and the ``(accuracy, |Vo|)`` likelihood matrices are cached
-(QASCA's likelihood depends on nothing else, and candidate-set sizes repeat
-heavily). Every per-evaluation operation — including the sampled
-``rng.choice`` — mirrors the reference arithmetic exactly, so the two
-engines draw identical samples and produce **identical** assignments
-(enforced by the QASCA cases in ``tests/test_columnar_parity.py``).
+The per-evaluation arithmetic is the formulas' own, with every per-round
+invariant hoisted out of the ``(worker, object)`` loop: once per result, the
+assigner normalises each object's ``result.confidences`` vector, resolves
+each worker's clipped accuracy, and caches the ``(accuracy, |Vo|)``
+likelihood matrices (QASCA's likelihood depends on nothing else, and
+candidate-set sizes repeat heavily). It reads nothing but the confidences
+and the worker accuracies, so it serves every inference result alike — TDH
+and the DOCS, LCA, ACCU and POPACCU fits of the Table 4 combos. The
+per-evaluation loop it replaced is the parity oracle in ``tests/oracles.py``;
+both apply the same operations to the same values and draw the same
+samples, so they produce **identical** assignments (enforced by the QASCA
+cases in ``tests/test_columnar_parity.py``).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..data.columnar import resolve_engine
 from ..data.model import ObjectId, TruthDiscoveryDataset, WorkerId
 from ..inference.base import InferenceResult
-from ..inference.tdh import TDHResult
 from .base import Assignment, TaskAssigner, worker_accuracy
 
 
-class _ColumnarQascaState:
-    """Per-round flat view of the TDH EM state for the quality measure.
+class _QascaRound:
+    """The per-round invariants of the quality measure for one result.
 
-    ``norm`` holds each object's normalised confidence slice (the reference
-    path recomputes ``mu / mu.sum()`` on every evaluation; one pass per
-    round here — same buffer, same operations, bitwise-equal values) and
-    ``accuracy`` the per-worker clipped exact-answer probabilities.
+    ``norm`` holds each object's normalised confidence vector (``mu /
+    mu.sum()``, uniform when the sum is not positive) and ``accuracy`` the
+    per-worker clipped exact-answer probabilities, resolved on first use.
     """
 
-    def __init__(self, result: TDHResult, col, mu: np.ndarray) -> None:
+    def __init__(self, result: InferenceResult) -> None:
         self.result = result
-        self.index = col.object_index
-        offsets = col.value_offsets
-        self.norm: List[np.ndarray] = []
-        for oid in range(col.n_objects):
-            sl = mu[offsets[oid] : offsets[oid + 1]]
-            total = sl.sum()
-            self.norm.append(
-                sl / total if total > 0 else np.full(len(sl), 1.0 / len(sl))
-            )
-        self.n_objects = max(col.n_objects, 1)
+        self.norm: Dict[ObjectId, np.ndarray] = {}
+        for obj, mu in result.confidences.items():
+            mu = np.asarray(mu, dtype=float)
+            total = mu.sum()
+            self.norm[obj] = mu / total if total > 0 else np.full(len(mu), 1.0 / len(mu))
+        self.n_objects = max(len(self.norm), 1)
         self.accuracy: Dict[WorkerId, float] = {}
 
     def worker_accuracy(self, worker: WorkerId) -> float:
@@ -76,59 +68,26 @@ class QascaAssigner(TaskAssigner):
     seed:
         Seed for the per-round answer sampling (QASCA's estimate is sampling
         based; the seed keeps experiments reproducible).
-    use_columnar:
-        Engine selector (``True`` / ``False`` / ``"auto"``, plus the CLI's
-        ``"columnar"`` / ``"reference"``); see
-        :func:`repro.data.columnar.resolve_engine`. The columnar engine
-        activates only for a :class:`TDHResult` carrying fresh columnar EM
-        state; anything else takes the reference path.
     """
 
     name = "QASCA"
 
-    def __init__(self, seed: int = 0, use_columnar: Union[bool, str] = "auto") -> None:
+    def __init__(self, seed: int = 0) -> None:
         self._rng = np.random.default_rng(seed)
-        self.use_columnar = use_columnar
-        self._state: Optional[_ColumnarQascaState] = None
+        self._round: Optional[_QascaRound] = None
         # (accuracy, n) -> the worker likelihood matrix; never mutated after
         # construction, so sharing across evaluations and rounds is safe.
         self._likelihood_cache: Dict[Tuple[float, int], np.ndarray] = {}
 
-    # ------------------------------------------------------------------
-    # columnar state
-    # ------------------------------------------------------------------
-    def _activate_state(
-        self, dataset: TruthDiscoveryDataset, result: InferenceResult
-    ) -> Optional[_ColumnarQascaState]:
-        """Build (or refuse) the flat-array state for this round.
-
-        Returns ``None`` — the reference path — unless the engine resolves
-        columnar *and* the result is a columnar TDH fit of this dataset at
-        its current version (QASCA only needs the confidences, but a stale
-        or foreign flat state could disagree with ``result.confidences``).
-        """
-        self._state = None
-        if not resolve_engine(self.use_columnar, dataset):
-            return None
-        if not isinstance(result, TDHResult):
-            return None
-        if getattr(result, "dataset", None) is not dataset:
-            return None
-        flat = getattr(result, "columnar_state", None)
-        if flat is None or flat[0].version != getattr(dataset, "_version", 0):
-            return None
-        col, mu = flat[0], flat[1]
-        self._state = _ColumnarQascaState(result, col, mu)
-        return self._state
-
-    def _state_for(self, result: InferenceResult) -> Optional[_ColumnarQascaState]:
-        state = self._state
-        return state if state is not None and state.result is result else None
+    def _round_for(self, result: InferenceResult) -> _QascaRound:
+        """The invariants of ``result``, computed once per result."""
+        if self._round is None or self._round.result is not result:
+            self._round = _QascaRound(result)
+        return self._round
 
     def _likelihood(self, accuracy: float, n: int) -> np.ndarray:
         """The ``(n, n)`` answer likelihood for a worker of this accuracy:
-        ``accuracy`` on the diagonal, uniform miss mass elsewhere — exactly
-        the matrix the reference path builds per evaluation."""
+        ``accuracy`` on the diagonal, uniform miss mass elsewhere."""
         key = (accuracy, n)
         matrix = self._likelihood_cache.get(key)
         if matrix is None:
@@ -148,43 +107,13 @@ class QascaAssigner(TaskAssigner):
         worker: WorkerId,
     ) -> float:
         """Estimated accuracy gain from asking ``worker`` about ``obj``."""
-        state = self._state_for(result)
-        if state is not None:
-            return self._improvement_columnar(state, obj, worker)
-        mu = np.asarray(result.confidences[obj], dtype=float)
-        total = mu.sum()
-        mu = mu / total if total > 0 else np.full(len(mu), 1.0 / len(mu))
-        n = len(mu)
-        accuracy = min(max(worker_accuracy(result, worker), 1e-3), 1 - 1e-3)
-
-        # Sample the hypothetical answer from the predictive distribution.
-        if n == 1:
-            return 0.0
-        likelihood = np.full((n, n), (1.0 - accuracy) / (n - 1))
-        np.fill_diagonal(likelihood, accuracy)
-        predictive = likelihood @ mu
-        predictive = predictive / predictive.sum()
-        sampled = int(self._rng.choice(n, p=predictive))
-
-        posterior = mu * likelihood[sampled]
-        z = posterior.sum()
-        if z <= 0:
-            return 0.0
-        posterior /= z
-        n_objects = max(len(result.confidences), 1)
-        return (float(posterior.max()) - float(mu.max())) / n_objects
-
-    def _improvement_columnar(
-        self, state: _ColumnarQascaState, obj: ObjectId, worker: WorkerId
-    ) -> float:
-        """The reference arithmetic over the precomputed flat state: same
-        normalised ``mu``, same likelihood values, same rng draw — the only
-        difference is that the per-round invariants are hoisted."""
-        mu = state.norm[state.index[obj]]
+        state = self._round_for(result)
+        mu = state.norm[obj]
         n = len(mu)
         if n == 1:
             return 0.0
         likelihood = self._likelihood(state.worker_accuracy(worker), n)
+        # Sample the hypothetical answer from the predictive distribution.
         predictive = likelihood @ mu
         predictive = predictive / predictive.sum()
         sampled = int(self._rng.choice(n, p=predictive))
@@ -203,7 +132,6 @@ class QascaAssigner(TaskAssigner):
         workers: Sequence[WorkerId],
         k: int,
     ) -> Assignment:
-        self._activate_state(dataset, result)
         objects = list(result.confidences)
         assigned: set = set()
         out: Dict[WorkerId, List[ObjectId]] = {w: [] for w in workers}

@@ -9,10 +9,10 @@ and folds them into the dataset. This is the loop behind Figures 6-11 and
 The round-0 entry of the history is the no-crowdsourcing operating point, as
 in the paper's plots.
 
-When the model/assigner run their columnar engines, the whole loop stays on
-**one live encoding**: the simulator's private dataset copy carries the
-input's cached encoding forward (``dataset.copy()``), the answers collected
-each round are spliced in by the incremental appender
+The whole loop stays on **one live encoding**: the simulator's private
+dataset copy carries the input's cached encoding forward
+(``dataset.copy()``), the answers collected each round are spliced in by the
+incremental appender
 (:class:`~repro.data.columnar.ColumnarAppender`, transparently via
 ``dataset.columnar()``), and the EAI assigner reuses the columnar TDH EM
 state plus per-``records_version`` likelihood tables across rounds — no
@@ -112,8 +112,8 @@ class CrowdSimulator:
         self.assigner = assigner
         self.workers = list(workers)
         #: Per-round assignments, appended by :meth:`run` — the regression
-        #: surface for engine-parity tests (columnar vs reference runs must
-        #: produce identical sequences).
+        #: surface for parity tests (a run of the production classes and a
+        #: run of their dict-loop oracles must produce identical sequences).
         self.assignment_log: List[Assignment] = []
         self._rng = rng if rng is not None else np.random.default_rng(seed)
         self._structure_cache = (

@@ -1,12 +1,10 @@
 """Data model: records, answers and truth-discovery datasets."""
 
 from .columnar import (
-    AUTO_MIN_CLAIMS,
     ColumnarClaims,
     ColumnarHierarchy,
     PairExpansion,
     StaleEncodingError,
-    resolve_engine,
 )
 from .model import (
     Answer,
@@ -26,6 +24,4 @@ __all__ = [
     "ColumnarHierarchy",
     "PairExpansion",
     "StaleEncodingError",
-    "resolve_engine",
-    "AUTO_MIN_CLAIMS",
 ]

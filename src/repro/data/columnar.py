@@ -54,7 +54,7 @@ fallback rules (in-place claim overwrites force a cold rebuild).
 from __future__ import annotations
 
 import weakref
-from typing import TYPE_CHECKING, Dict, Hashable, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -62,12 +62,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .model import ObjectId, TruthDiscoveryDataset
 
 ClaimantKey = Hashable
-
-#: Claims-table size above which ``use_columnar="auto"`` switches to the
-#: vectorized path. Below it the dict loops win on constant factors and the
-#: reference implementation stays exercised by the ordinary test suite.
-AUTO_MIN_CLAIMS = 2048
-
 
 class StaleEncodingError(RuntimeError):
     """A held :class:`ColumnarClaims` no longer matches its dataset.
@@ -77,28 +71,6 @@ class StaleEncodingError(RuntimeError):
     should drop the stale object and re-fetch ``dataset.columnar()`` (which
     rebuilds automatically).
     """
-
-
-def resolve_engine(
-    use_columnar: Union[bool, str], dataset: "TruthDiscoveryDataset"
-) -> bool:
-    """Decide whether to take the columnar fast path.
-
-    ``use_columnar`` accepts ``True`` / ``False``, the strings ``"columnar"``
-    / ``"reference"`` (the experiment CLI's ``--engine`` values), or
-    ``"auto"`` — columnar once the claim table reaches
-    :data:`AUTO_MIN_CLAIMS` rows.
-    """
-    if use_columnar is True or use_columnar == "columnar":
-        return True
-    if use_columnar is False or use_columnar == "reference":
-        return False
-    if use_columnar == "auto":
-        return dataset.num_records + dataset.num_answers >= AUTO_MIN_CLAIMS
-    raise ValueError(
-        "use_columnar must be True, False, 'auto', 'columnar' or 'reference';"
-        f" got {use_columnar!r}"
-    )
 
 
 def csr_expand(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -236,8 +208,9 @@ class PairExpansion:
 
     Row ``p`` pairs claim ``pair_claim[p]`` with candidate slot
     ``pair_slot[p]`` of the claimed object, ordered by object, then claim,
-    then candidate position — the exact iteration order of the reference
-    loops, so ``np.bincount`` accumulates partial sums in the same sequence.
+    then candidate position — the exact iteration order of the dict-loop
+    oracles (``tests/oracles.py``), so ``np.bincount`` accumulates partial
+    sums in the same sequence.
 
     ``cell_index`` / ``total_index`` give each row a dense id for its
     Dawid-Skene confusion cell ``(claimant, truth value, claimed value)`` and
@@ -637,7 +610,7 @@ class SegmentOps:
 
     def segment_normalize(self, flat: np.ndarray) -> np.ndarray:
         """Normalize per object; all-zero (or negative-total) segments become
-        uniform, matching the reference algorithms' fallback."""
+        uniform, matching the dict-loop oracles' fallback."""
         totals = self.segment_sum(flat)
         safe = np.where(totals > 0, totals, 1.0)
         out = flat / safe[self.slot_obj]
@@ -847,8 +820,8 @@ class ColumnarClaims(SegmentOps):
             value_offsets.append(start + ctx.size)
             obj_has_hierarchy.append(ctx.has_hierarchy)
 
-            # Records first, answers second — the claimant order every
-            # reference ``_claims_of`` helper uses.
+            # Records first, answers second — the claimant order of every
+            # ``_claims_of`` helper.
             for source, value in dataset.records_for(obj).items():
                 cid = claimant_index.get(source)
                 if cid is None:

@@ -1,4 +1,4 @@
-"""CLI entry point: ``python -m repro.experiments <name> [--full] [--engine E]``."""
+"""CLI entry point: ``python -m repro.experiments <name> [--full] [--incremental]``."""
 
 import argparse
 import inspect
@@ -25,25 +25,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="use the paper's dataset sizes and round counts (slow)",
     )
     parser.add_argument(
-        "--engine",
-        choices=["auto", "reference", "columnar"],
-        default="auto",
-        help=(
-            "execution engine for experiments that support it (fig12, fig13"
-            " and the crowd-loop figures fig5-fig10/fig14-16): the per-object"
-            " dict loops (reference), the vectorized claim-table fast paths"
-            " incl. columnar EAI assignment (columnar), or size-based"
-            " selection (auto, default)"
-        ),
-    )
-    parser.add_argument(
         "--incremental",
         action="store_true",
         help=(
             "warm-started dirty-frontier EM for the crowd-loop experiments:"
             " each round re-converges only the objects touched by new"
-            " answers (TDH/LFC; columnar engine only, falls back to cold"
-            " fits whenever a delta cannot be served exactly)"
+            " answers (TDH/LFC; falls back to cold fits whenever a delta"
+            " cannot be served exactly)"
         ),
     )
     return parser
@@ -62,8 +50,6 @@ def main(argv=None) -> int:
         entry = EXPERIMENTS[name].main
         kwargs = {"full": args.full}
         parameters = inspect.signature(entry).parameters
-        if "engine" in parameters:
-            kwargs["engine"] = args.engine
         if "incremental" in parameters:
             kwargs["incremental"] = args.incremental
         entry(**kwargs)

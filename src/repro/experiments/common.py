@@ -96,13 +96,10 @@ def both_datasets(s: ExperimentScale) -> Dict[str, TruthDiscoveryDataset]:
 # algorithm registries (the paper's Section 5.1 lists)
 # ---------------------------------------------------------------------------
 def inference_factories(
-    s: ExperimentScale, engine: str = "auto", incremental: bool = False
+    s: ExperimentScale, incremental: bool = False
 ) -> Dict[str, Callable[[], TruthInferenceAlgorithm]]:
     """The ten single-truth inference algorithms of Table 3.
 
-    ``engine`` (``"auto"`` / ``"reference"`` / ``"columnar"``) selects the
-    execution engine for the algorithms that ship a columnar fast path —
-    all of them except MDC; see ``docs/algorithms.md`` for the matrix.
     ``incremental`` (the CLI's ``--incremental``) turns on dirty-frontier
     warm-started EM for the algorithms that support it (TDH and LFC here):
     each crowd round re-converges only the objects touched by new answers.
@@ -110,37 +107,24 @@ def inference_factories(
     iters = s.em_iterations
     tol = s.em_tol
     return {
-        "TDH": lambda: TDHModel(
-            max_iter=iters, tol=tol, use_columnar=engine, incremental=incremental
-        ),
-        "VOTE": lambda: Vote(use_columnar=engine),
-        "LCA": lambda: GuessLca(max_iter=iters, tol=tol, use_columnar=engine),
-        "DOCS": lambda: Docs(max_iter=iters, tol=tol, use_columnar=engine),
-        "ASUMS": lambda: Asums(max_iter=iters, tol=tol, use_columnar=engine),
+        "TDH": lambda: TDHModel(max_iter=iters, tol=tol, incremental=incremental),
+        "VOTE": Vote,
+        "LCA": lambda: GuessLca(max_iter=iters, tol=tol),
+        "DOCS": lambda: Docs(max_iter=iters, tol=tol),
+        "ASUMS": lambda: Asums(max_iter=iters, tol=tol),
         "MDC": lambda: Mdc(max_iter=min(iters, 20), tol=tol),
-        "ACCU": lambda: Accu(max_iter=min(iters, 15), tol=tol, use_columnar=engine),
-        "POPACCU": lambda: PopAccu(
-            max_iter=min(iters, 15), tol=tol, use_columnar=engine
-        ),
-        "LFC": lambda: Lfc(
-            max_iter=min(iters, 20), tol=tol, use_columnar=engine,
-            incremental=incremental,
-        ),
-        "CRH": lambda: Crh(max_iter=min(iters, 20), tol=tol, use_columnar=engine),
+        "ACCU": lambda: Accu(max_iter=min(iters, 15), tol=tol),
+        "POPACCU": lambda: PopAccu(max_iter=min(iters, 15), tol=tol),
+        "LFC": lambda: Lfc(max_iter=min(iters, 20), tol=tol, incremental=incremental),
+        "CRH": lambda: Crh(max_iter=min(iters, 20), tol=tol),
     }
 
 
-def assigner_factories(engine: str = "auto") -> Dict[str, Callable[[], TaskAssigner]]:
-    """The Table-4 assignment policies.
-
-    ``engine`` threads the execution-engine choice into the two assigners
-    with a columnar fast path: EAI (consumes TDH's EM state) and QASCA
-    (consumes the flat confidences); the other policies have no engine
-    switch.
-    """
+def assigner_factories() -> Dict[str, Callable[[], TaskAssigner]]:
+    """The Table-4 assignment policies."""
     return {
-        "EAI": lambda: EAIAssigner(use_columnar=engine),
-        "QASCA": lambda: QascaAssigner(seed=0, use_columnar=engine),
+        "EAI": EAIAssigner,
+        "QASCA": lambda: QascaAssigner(seed=0),
         "ME": lambda: MaxEntropyAssigner(),
         "MB": lambda: MbAssigner(),
     }
@@ -174,19 +158,16 @@ def make_combo(
     inference: str,
     assigner: str,
     s: ExperimentScale,
-    engine: str = "auto",
     incremental: bool = False,
 ) -> tuple[TruthInferenceAlgorithm, TaskAssigner]:
     """Instantiate an inference+assignment pair by name.
 
-    ``engine`` selects the execution engine for both sides of the combo
-    (inference fast paths and the EAI/QASCA columnar quality measures), so
-    a whole crowdsourcing run stays on one encoding; ``incremental``
-    switches the supporting models to dirty-frontier warm-started rounds.
+    ``incremental`` switches the supporting models to dirty-frontier
+    warm-started rounds.
     """
-    factories = inference_factories(s, engine=engine, incremental=incremental)
+    factories = inference_factories(s, incremental=incremental)
     model = factories[inference]()
-    task_assigner = assigner_factories(engine)[assigner]()
+    task_assigner = assigner_factories()[assigner]()
     return model, task_assigner
 
 

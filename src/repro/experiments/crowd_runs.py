@@ -21,19 +21,14 @@ def run_combo(
     worker_seed: int = 3,
     answer_seed: int = 5,
     evaluate_every: int = 1,
-    engine: str = "auto",
     incremental: bool = False,
 ) -> SimulationHistory:
     """Run one inference+assignment combo through the crowdsourcing loop.
 
-    ``engine`` threads the execution-engine choice into the combo, so the
-    whole simulated crowd run stays on one live encoding; ``incremental``
-    makes the supporting models re-converge only each round's dirty
-    frontier.
+    ``incremental`` makes the supporting models re-converge only each
+    round's dirty frontier.
     """
-    model, task_assigner = make_combo(
-        inference, assigner, s, engine=engine, incremental=incremental
-    )
+    model, task_assigner = make_combo(inference, assigner, s, incremental=incremental)
     panel = (
         list(workers)
         if workers is not None

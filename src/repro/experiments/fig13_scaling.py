@@ -5,13 +5,10 @@ EAI assignment runs with and without the Lemma-4.1 upper-bound pruning. The
 assignments must be identical; the pruned variant should evaluate far fewer
 EAI scores and run faster as the scale grows. "EAI evals" counts the
 quality-measure lookups of Algorithm 1's walk, "EAI pairs" the (worker,
-object) pairs actually computed: the columnar engine computes each worker's
-values in blocks along the UEAI order, so its pairs can exceed its lookups.
-
-The ``engine`` switch selects the execution path for the TDH fit that feeds
-EAI, for both timed EAI assigners, and for one separately timed
-representative truth-inference pass (CRH), so the same experiment shows how
-the columnar claim engine bends both curves as the object count grows.
+object) pairs actually computed: the assigner computes each worker's values
+in blocks along the UEAI order, so its pairs can exceed its lookups. One
+separately timed truth-inference pass (CRH) shows how inference time grows
+with the object count next to assignment time.
 """
 
 from __future__ import annotations
@@ -28,7 +25,6 @@ from .common import both_datasets, format_table, scale
 def run(
     full: bool = False,
     factors: Sequence[int] | None = None,
-    engine: str = "auto",
 ) -> Dict[str, List[dict]]:
     s = scale(full)
     factors = factors if factors is not None else ((5, 10, 15) if full else (1, 2, 4))
@@ -39,25 +35,20 @@ def run(
         rows = []
         for factor in factors:
             scaled = dataset.scaled(factor)
-            model = TDHModel(
-                max_iter=min(s.em_iterations, 15),
-                tol=s.em_tol,
-                use_columnar=engine,
-            )
+            model = TDHModel(max_iter=min(s.em_iterations, 15), tol=s.em_tol)
             result = model.fit(scaled)
 
-            crh = Crh(max_iter=min(s.em_iterations, 20), tol=s.em_tol,
-                      use_columnar=engine)
+            crh = Crh(max_iter=min(s.em_iterations, 20), tol=s.em_tol)
             t0 = time.perf_counter()
             crh.fit(scaled)
             crh_time = time.perf_counter() - t0
 
-            pruned = EAIAssigner(use_pruning=True, use_columnar=engine)
+            pruned = EAIAssigner(use_pruning=True)
             t0 = time.perf_counter()
             assignment_pruned = pruned.assign(scaled, result, worker_ids, s.tasks_per_worker)
             pruned_time = time.perf_counter() - t0
 
-            unpruned = EAIAssigner(use_pruning=False, use_columnar=engine)
+            unpruned = EAIAssigner(use_pruning=False)
             t0 = time.perf_counter()
             assignment_full = unpruned.assign(scaled, result, worker_ids, s.tasks_per_worker)
             full_time = time.perf_counter() - t0
@@ -82,8 +73,8 @@ def run(
     return out
 
 
-def main(full: bool = False, engine: str = "auto") -> None:
-    results = run(full, engine=engine)
+def main(full: bool = False) -> None:
+    results = run(full)
     for ds_name, rows in results.items():
         print(
             format_table(
@@ -100,10 +91,7 @@ def main(full: bool = False, engine: str = "auto") -> None:
                     "time saved",
                     "CRH TI(s)",
                 ],
-                title=(
-                    f"Figure 13 — task-assignment time vs scale ({ds_name},"
-                    f" engine={engine})"
-                ),
+                title=f"Figure 13 — task-assignment time vs scale ({ds_name})",
             )
         )
         print()

@@ -18,14 +18,12 @@ COMBOS = (("TDH", "EAI"), ("LCA", "ME"), ("DOCS", "MB"), ("DOCS", "QASCA"))
 METRICS = ("accuracy", "gen_accuracy", "avg_distance")
 
 
-def run(full: bool = False, rounds: int = 20, engine: str = "auto") -> Dict[str, dict]:
+def run(full: bool = False, rounds: int = 20) -> Dict[str, dict]:
     s = scale(full)
     panel = make_human_panel(10, seed=17)
     out: Dict[str, dict] = {}
     for ds_name, dataset in both_datasets(s).items():
-        histories = run_combos(
-            dataset, COMBOS, s, workers=panel, rounds=rounds, engine=engine
-        )
+        histories = run_combos(dataset, COMBOS, s, workers=panel, rounds=rounds)
         data: Dict[str, dict] = {
             "rounds": [r.round for r in next(iter(histories.values())).records]
         }
@@ -37,8 +35,8 @@ def run(full: bool = False, rounds: int = 20, engine: str = "auto") -> Dict[str,
     return out
 
 
-def main(full: bool = False, engine: str = "auto") -> None:
-    results = run(full, engine=engine)
+def main(full: bool = False) -> None:
+    results = run(full)
     figure_no = {"accuracy": 14, "gen_accuracy": 15, "avg_distance": 16}
     for ds_name, data in results.items():
         rounds = data["rounds"]

@@ -16,13 +16,11 @@ from ..inference import Asums, TDHModel
 from .common import format_table, load_birthplaces, scale
 
 
-def run(full: bool = False, engine: str = "auto") -> List[dict]:
+def run(full: bool = False) -> List[dict]:
     s = scale(full)
     dataset = load_birthplaces(s)
-    tdh = TDHModel(
-        max_iter=s.em_iterations, tol=s.em_tol, use_columnar=engine
-    ).fit(dataset)
-    asums_result = Asums(max_iter=s.em_iterations, use_columnar=engine).fit(dataset)
+    tdh = TDHModel(max_iter=s.em_iterations, tol=s.em_tol).fit(dataset)
+    asums_result = Asums(max_iter=s.em_iterations).fit(dataset)
     trust = asums_result.trust  # type: ignore[attr-defined]
 
     rows = []
@@ -44,8 +42,8 @@ def run(full: bool = False, engine: str = "auto") -> List[dict]:
     return rows
 
 
-def main(full: bool = False, engine: str = "auto") -> None:
-    rows = run(full, engine=engine)
+def main(full: bool = False) -> None:
+    rows = run(full)
     print(
         format_table(
             rows,

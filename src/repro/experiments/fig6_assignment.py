@@ -14,16 +14,13 @@ from .crowd_runs import run_combos
 ASSIGNERS = ("EAI", "QASCA", "ME")
 
 
-def run(
-    full: bool = False, engine: str = "auto", incremental: bool = False
-) -> Dict[str, Dict[str, list]]:
+def run(full: bool = False, incremental: bool = False) -> Dict[str, Dict[str, list]]:
     """Per dataset: {"rounds": [...], "TDH+EAI": [accuracy...], ...}."""
     s = scale(full)
     out: Dict[str, Dict[str, list]] = {}
     for ds_name, dataset in both_datasets(s).items():
         histories = run_combos(
-            dataset, [("TDH", a) for a in ASSIGNERS], s, engine=engine,
-            incremental=incremental,
+            dataset, [("TDH", a) for a in ASSIGNERS], s, incremental=incremental
         )
         series: Dict[str, list] = {}
         rounds = None
@@ -34,10 +31,8 @@ def run(
     return out
 
 
-def main(
-    full: bool = False, engine: str = "auto", incremental: bool = False
-) -> None:
-    results = run(full, engine=engine, incremental=incremental)
+def main(full: bool = False, incremental: bool = False) -> None:
+    results = run(full, incremental=incremental)
     for ds_name, data in results.items():
         rounds = data.pop("rounds")
         shown = {k: v[::5] for k, v in data.items()}

@@ -15,14 +15,14 @@ from .common import both_datasets, format_series, scale
 from .crowd_runs import run_combo
 
 
-def run(full: bool = False, engine: str = "auto") -> Dict[str, Dict[str, dict]]:
+def run(full: bool = False) -> Dict[str, Dict[str, dict]]:
     """Per dataset and assigner: actual/estimated series (in percentage points)."""
     s = scale(full)
     out: Dict[str, Dict[str, dict]] = {}
     for ds_name, dataset in both_datasets(s).items():
         per_assigner: Dict[str, dict] = {}
         for assigner in ("EAI", "QASCA"):
-            history = run_combo(dataset, "TDH", assigner, s, engine=engine)
+            history = run_combo(dataset, "TDH", assigner, s)
             rounds: List[int] = []
             actual: List[float] = []
             estimated: List[float] = []
@@ -48,8 +48,8 @@ def run(full: bool = False, engine: str = "auto") -> Dict[str, Dict[str, dict]]:
     return out
 
 
-def main(full: bool = False, engine: str = "auto") -> None:
-    results = run(full, engine=engine)
+def main(full: bool = False) -> None:
+    results = run(full)
     for ds_name, per_assigner in results.items():
         for assigner, data in per_assigner.items():
             print(

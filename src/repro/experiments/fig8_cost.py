@@ -35,11 +35,11 @@ def cost_saving(
     return 0.0
 
 
-def run(full: bool = False, engine: str = "auto") -> Dict[str, dict]:
+def run(full: bool = False) -> Dict[str, dict]:
     s = scale(full)
     out: Dict[str, dict] = {}
     for ds_name, dataset in both_datasets(s).items():
-        histories = run_combos(dataset, HEADLINE_COMBOS, s, engine=engine)
+        histories = run_combos(dataset, HEADLINE_COMBOS, s)
         rounds = [r.round for r in next(iter(histories.values())).records]
         data: Dict[str, dict] = {"rounds": rounds}
         for metric in METRICS:
@@ -61,8 +61,8 @@ def run(full: bool = False, engine: str = "auto") -> Dict[str, dict]:
     return out
 
 
-def main(full: bool = False, engine: str = "auto") -> None:
-    results = run(full, engine=engine)
+def main(full: bool = False) -> None:
+    results = run(full)
     figure_no = {"accuracy": 8, "gen_accuracy": 9, "avg_distance": 10}
     for ds_name, data in results.items():
         rounds = data["rounds"]

@@ -24,9 +24,9 @@ from ..inference import (
 from .common import both_datasets, format_table, inference_factories, scale
 
 
-def extra_factories(s, engine: str = "auto") -> Dict[str, object]:
-    """``engine`` reaches the two extended algorithms with a columnar
-    engine: DS and ZENCROWD; the link-analysis family is reference-only."""
+def extra_factories(s) -> Dict[str, object]:
+    """The seven extended algorithms: the link-analysis family, DS and
+    ZENCROWD."""
     iters = min(s.em_iterations, 20)
     return {
         "SUMS": lambda: Sums(max_iter=iters),
@@ -34,15 +34,15 @@ def extra_factories(s, engine: str = "auto") -> Dict[str, object]:
         "INVEST": lambda: Investment(max_iter=iters),
         "POOLED": lambda: PooledInvestment(max_iter=iters),
         "TRUTHFINDER": lambda: TruthFinder(max_iter=iters),
-        "DS": lambda: DawidSkene(max_iter=iters, use_columnar=engine),
-        "ZENCROWD": lambda: ZenCrowd(max_iter=iters, use_columnar=engine),
+        "DS": lambda: DawidSkene(max_iter=iters),
+        "ZENCROWD": lambda: ZenCrowd(max_iter=iters),
     }
 
 
-def run(full: bool = False, engine: str = "auto") -> Dict[str, List[dict]]:
+def run(full: bool = False) -> Dict[str, List[dict]]:
     s = scale(full)
-    factories = dict(inference_factories(s, engine=engine))
-    factories.update(extra_factories(s, engine=engine))
+    factories = dict(inference_factories(s))
+    factories.update(extra_factories(s))
     out: Dict[str, List[dict]] = {}
     for ds_name, dataset in both_datasets(s).items():
         rows = []
@@ -55,8 +55,8 @@ def run(full: bool = False, engine: str = "auto") -> Dict[str, List[dict]]:
     return out
 
 
-def main(full: bool = False, engine: str = "auto") -> None:
-    results = run(full, engine=engine)
+def main(full: bool = False) -> None:
+    results = run(full)
     for ds_name, rows in results.items():
         print(
             format_table(

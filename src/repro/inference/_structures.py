@@ -24,12 +24,15 @@ Conventions: matrices are ``(n, n)`` with **rows = claimed value u** and
 **columns = hypothesised truth v**; ``A[u, v]`` is ``True`` iff ``u`` is a
 (candidate) ancestor of ``v``, i.e. ``u in Go(v)``.
 
-This module is the *reference-engine* (and EAI) representation. The columnar
-TDH engine evaluates exactly the same case weights, but flattened to one
-entry per claim x candidate pair over the CSR arrays of
+This is the per-object representation that
+:func:`repro.inference.diagnostics.log_likelihood`, the crowd simulator's
+shared cache and the dict-loop oracles in ``tests/oracles.py`` read. The TDH
+fit and the EAI assigner evaluate exactly the same case weights, but
+flattened to one entry per claim x candidate pair over the CSR arrays of
 :class:`~repro.data.columnar.ColumnarHierarchy` — see
-``TDHModel._pair_case_arrays``. Keep the two in lock-step: the parity suite
-(``tests/test_columnar_parity.py``) will catch any drift.
+``TDHModel._pair_case_arrays`` and ``repro.assignment.eai._worker_case_arrays``.
+Keep them in lock-step: the parity suite (``tests/test_columnar_parity.py``)
+will catch any drift.
 """
 
 from __future__ import annotations

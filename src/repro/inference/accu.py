@@ -24,31 +24,24 @@ Fixed-point updates per round:
   posterior odds of copying given their agreement rate; agreeing claims of
   the suspected copier get the independence weight ``I(s,o) < 1``.
 
-The columnar engine (``use_columnar``) materialises the within-object claim
-x claim co-occurrence expansion once (the support of the dependence
-analysis), aggregates agreement counts per claimant pair with ``np.unique``
-+ ``np.bincount``, and scatters the discounts back onto claims with
-``np.minimum.at``; the vote and accuracy steps are plain per-slot bincounts.
-The dict loops stay as the reference; parity within 1e-8 is enforced by
+The fit materialises the within-object claim x claim co-occurrence expansion
+once (the support of the dependence analysis), aggregates agreement counts
+per claimant pair with ``np.unique`` + ``np.bincount``, and scatters the
+discounts back onto claims with ``np.minimum.at``; the vote and accuracy
+steps are plain per-slot bincounts. The dict loops it replaced are the
+parity oracle in ``tests/oracles.py``; parity within 1e-8 is enforced by
 ``tests/test_columnar_parity.py``.
 """
 
 from __future__ import annotations
 
-import math
-from itertools import combinations
-from typing import Dict, Hashable, List, Mapping, Tuple, Union
+from typing import Dict, List, Tuple
 
 import numpy as np
 
-from ..data.columnar import ColumnarClaims, resolve_engine
-from ..data.model import ObjectId, SourceId, TruthDiscoveryDataset
-from .base import (
-    ColumnarInferenceResult,
-    InferenceResult,
-    TruthInferenceAlgorithm,
-    claim_counts,
-)
+from ..data.columnar import ColumnarClaims
+from ..data.model import TruthDiscoveryDataset
+from .base import ColumnarInferenceResult, InferenceResult, TruthInferenceAlgorithm
 
 
 class Accu(TruthInferenceAlgorithm):
@@ -70,9 +63,6 @@ class Accu(TruthInferenceAlgorithm):
         the ablation bench).
     popularity:
         Internal switch used by :class:`PopAccu`.
-    use_columnar:
-        Engine selector (``True`` / ``False`` / ``"auto"``); see
-        :func:`repro.data.columnar.resolve_engine`.
     """
 
     name = "ACCU"
@@ -87,7 +77,6 @@ class Accu(TruthInferenceAlgorithm):
         copy_rate: float = 0.8,
         detect_dependence: bool = True,
         popularity: bool = False,
-        use_columnar: Union[bool, str] = "auto",
     ) -> None:
         self.max_iter = max_iter
         self.tol = tol
@@ -96,23 +85,14 @@ class Accu(TruthInferenceAlgorithm):
         self.copy_rate = copy_rate
         self.detect_dependence = detect_dependence
         self.popularity = popularity
-        self.use_columnar = use_columnar
 
-    # ------------------------------------------------------------------
-    def fit(self, dataset: TruthDiscoveryDataset) -> InferenceResult:
-        if resolve_engine(self.use_columnar, dataset):
-            return self._fit_columnar(dataset)
-        return self._fit_reference(dataset)
-
-    # ------------------------------------------------------------------
-    # columnar engine
     # ------------------------------------------------------------------
     class _CoClaims:
         """Within-object claim x claim co-occurrence, aggregated per pair.
 
         Row ``r`` joins two claims on the same object. Rows are grouped into
-        *claimant pairs* ordered by ``repr`` (the reference's canonical pair
-        key); ``pair_index[r]`` maps each row to its pair, and per pair the
+        *claimant pairs* ordered by ``repr`` (the canonical pair key of the
+        dict-loop oracle); ``pair_index[r]`` maps each row to its pair, and per pair the
         agreement statistics ``same`` / ``total`` feed the Bayesian
         dependence posterior. All arrays are iteration-invariant.
         """
@@ -136,7 +116,7 @@ class Accu(TruthInferenceAlgorithm):
             ci = np.concatenate(ci_parts) if ci_parts else empty
             cj = np.concatenate(cj_parts) if cj_parts else empty
 
-            # Canonical pair order: the reference keys pairs by repr().
+            # Canonical pair order: claimant pairs keyed by repr().
             rank_order = sorted(
                 range(col.n_claimants), key=lambda c: repr(col.claimants[c])
             )
@@ -198,7 +178,7 @@ class Accu(TruthInferenceAlgorithm):
         )
         return weights
 
-    def _fit_columnar(self, dataset: TruthDiscoveryDataset) -> InferenceResult:
+    def fit(self, dataset: TruthDiscoveryDataset) -> InferenceResult:
         col = dataset.columnar()
         accuracy = np.full(col.n_claimants, 0.8, dtype=np.float64)
         co = self._CoClaims(col) if self.detect_dependence else None
@@ -259,159 +239,6 @@ class Accu(TruthInferenceAlgorithm):
         result = ColumnarInferenceResult(dataset, col, flat_conf, iterations, converged)
         result.source_accuracy = col.claimant_mapping(accuracy)  # type: ignore[attr-defined]
         return result
-
-    # ------------------------------------------------------------------
-    # reference engine
-    # ------------------------------------------------------------------
-    def _fit_reference(self, dataset: TruthDiscoveryDataset) -> InferenceResult:
-        claimants = self._claimants(dataset)
-        accuracy: Dict[Hashable, float] = {c: 0.8 for c in claimants}
-        confidences: Dict[ObjectId, np.ndarray] = {}
-        iterations = 0
-        converged = False
-
-        for iterations in range(1, self.max_iter + 1):
-            weights = (
-                self._independence_weights(dataset, accuracy)
-                if self.detect_dependence
-                else {}
-            )
-            confidences = self._vote(dataset, accuracy, weights)
-            new_accuracy = self._update_accuracy(dataset, confidences)
-            delta = max(
-                abs(new_accuracy[c] - accuracy[c]) for c in new_accuracy
-            ) if new_accuracy else 0.0
-            accuracy = new_accuracy
-            if delta < self.tol:
-                converged = True
-                break
-        result = InferenceResult(dataset, confidences, iterations, converged)
-        result.source_accuracy = accuracy  # type: ignore[attr-defined]
-        return result
-
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _claimants(dataset: TruthDiscoveryDataset) -> List[Hashable]:
-        """Sources plus workers — answers are treated as single-claim sources."""
-        return list(dataset.sources) + [("worker", w) for w in dataset.workers]
-
-    @staticmethod
-    def _claims_of(dataset: TruthDiscoveryDataset, obj: ObjectId) -> Dict[Hashable, Hashable]:
-        claims: Dict[Hashable, Hashable] = dict(dataset.records_for(obj))
-        for worker, value in dataset.answers_for(obj).items():
-            claims[("worker", worker)] = value
-        return claims
-
-    def _vote(
-        self,
-        dataset: TruthDiscoveryDataset,
-        accuracy: Mapping[Hashable, float],
-        weights: Mapping[Tuple[Hashable, ObjectId], float],
-    ) -> Dict[ObjectId, np.ndarray]:
-        confidences: Dict[ObjectId, np.ndarray] = {}
-        for obj in dataset.objects:
-            ctx = dataset.context(obj)
-            n_false = (
-                self.n_false_values
-                if self.n_false_values is not None
-                else max(ctx.size - 1, 1)
-            )
-            if self.popularity:
-                counts = claim_counts(dataset, obj)
-                total = counts.sum()
-                pop = counts / total if total > 0 else np.full(ctx.size, 1.0 / ctx.size)
-            scores = np.zeros(ctx.size)
-            for claimant, value in self._claims_of(dataset, obj).items():
-                acc = min(max(accuracy.get(claimant, 0.8), 0.01), 0.99)
-                if self.popularity:
-                    # POPACCU: false values drawn by popularity, not uniformly.
-                    false_mass = max(1.0 - pop[ctx.index[value]], 1e-6)
-                    vote = math.log(max(acc, 1e-6) / max((1.0 - acc) * false_mass, 1e-9))
-                else:
-                    vote = math.log(n_false * acc / (1.0 - acc))
-                vote *= weights.get((claimant, obj), 1.0)
-                scores[ctx.index[value]] += vote
-            scores -= scores.max()
-            exp_scores = np.exp(scores)
-            confidences[obj] = exp_scores / exp_scores.sum()
-        return confidences
-
-    def _update_accuracy(
-        self, dataset: TruthDiscoveryDataset, confidences: Mapping[ObjectId, np.ndarray]
-    ) -> Dict[Hashable, float]:
-        sums: Dict[Hashable, float] = {}
-        counts: Dict[Hashable, int] = {}
-        for obj in dataset.objects:
-            ctx = dataset.context(obj)
-            probs = confidences[obj]
-            for claimant, value in self._claims_of(dataset, obj).items():
-                sums[claimant] = sums.get(claimant, 0.0) + float(probs[ctx.index[value]])
-                counts[claimant] = counts.get(claimant, 0) + 1
-        return {
-            claimant: min(max(sums[claimant] / counts[claimant], 0.01), 0.99)
-            for claimant in sums
-        }
-
-    # ------------------------------------------------------------------
-    def _independence_weights(
-        self, dataset: TruthDiscoveryDataset, accuracy: Mapping[Hashable, float]
-    ) -> Dict[Tuple[Hashable, ObjectId], float]:
-        """Per-claim independence weight ``I(s, o)`` from copy detection.
-
-        For every source pair sharing objects we compute the posterior
-        probability of dependence from the fraction of *identical* claims —
-        many shared identical values beyond what their accuracies explain is
-        evidence of copying (the kernel of ACCU's Bayesian dependence
-        analysis). A claim's weight is the probability that it was produced
-        independently, aggregated over suspected providers.
-        """
-        shared: Dict[Tuple[Hashable, Hashable], Tuple[int, int]] = {}
-        claims_cache = {obj: self._claims_of(dataset, obj) for obj in dataset.objects}
-        providers: Dict[Hashable, List[ObjectId]] = {}
-        for obj, claims in claims_cache.items():
-            for claimant in claims:
-                providers.setdefault(claimant, []).append(obj)
-
-        for obj, claims in claims_cache.items():
-            claimants = list(claims)
-            for a, b in combinations(claimants, 2):
-                key = (a, b) if repr(a) <= repr(b) else (b, a)
-                same, total = shared.get(key, (0, 0))
-                shared[key] = (same + (claims[a] == claims[b]), total + 1)
-
-        dependence: Dict[Tuple[Hashable, Hashable], float] = {}
-        for (a, b), (same, total) in shared.items():
-            if total < 2:
-                continue
-            acc_a = accuracy.get(a, 0.8)
-            acc_b = accuracy.get(b, 0.8)
-            p_same_indep = acc_a * acc_b + (1 - acc_a) * (1 - acc_b) * 0.2
-            p_same_dep = self.copy_rate + (1 - self.copy_rate) * p_same_indep
-            ratio = same / total
-            # Bayes factor of observed agreement under dependence vs independence.
-            like_dep = p_same_dep ** same * (1 - p_same_dep) ** (total - same)
-            like_ind = p_same_indep ** same * (1 - p_same_indep) ** (total - same)
-            prior = self.alpha_dependence
-            posterior = prior * like_dep / max(
-                prior * like_dep + (1 - prior) * like_ind, 1e-300
-            )
-            if posterior > 0.5 and ratio > 0.5:
-                dependence[(a, b)] = posterior
-
-        weights: Dict[Tuple[Hashable, ObjectId], float] = {}
-        for (a, b), post in dependence.items():
-            # The less accurate party is treated as the copier; its agreeing
-            # claims are discounted.
-            copier = a if accuracy.get(a, 0.8) <= accuracy.get(b, 0.8) else b
-            other = b if copier is a else a
-            for obj in providers.get(copier, ()):
-                claims = claims_cache[obj]
-                if other in claims and claims.get(copier) == claims.get(other):
-                    key = (copier, obj)
-                    weights[key] = min(
-                        weights.get(key, 1.0), 1.0 - post * self.copy_rate
-                    )
-        return weights
 
 
 class PopAccu(Accu):

@@ -19,24 +19,21 @@ Fixed-point updates per round:
   (``ancestor_support``), then all beliefs are max-normalised globally;
 * **trust step**: ``T(s) = sum_{claims (o,s,v)} B_o(v)``, max-normalised.
 
-The columnar engine (``use_columnar``) scatters the trust mass with two
-``np.bincount`` calls — one over the claim table, one over a claim x
-candidate-ancestor expansion derived from the
-:class:`~repro.data.columnar.ColumnarHierarchy` slot-level CSR arrays — and
-vectorizes the deepest-within-``tau`` truth selection as a two-stage
+The fit scatters the trust mass with two ``np.bincount`` calls — one over
+the claim table, one over a claim x candidate-ancestor expansion derived from
+the :class:`~repro.data.columnar.ColumnarHierarchy` slot-level CSR arrays —
+and vectorizes the deepest-within-``tau`` truth selection as a two-stage
 per-object argmax (depth first, then belief, first-slot tie-break). The dict
-loops stay as the reference; parity within 1e-8 is enforced by
-``tests/test_columnar_parity.py``.
+loops it replaced are the parity oracle in ``tests/oracles.py``; parity
+within 1e-8 is enforced by ``tests/test_columnar_parity.py``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Union
-
 import numpy as np
 
-from ..data.columnar import csr_expand, resolve_engine
-from ..data.model import ObjectId, TruthDiscoveryDataset
+from ..data.columnar import csr_expand
+from ..data.model import TruthDiscoveryDataset
 from .base import ColumnarInferenceResult, InferenceResult, TruthInferenceAlgorithm
 
 
@@ -53,9 +50,6 @@ class Asums(TruthInferenceAlgorithm):
         ancestor of the claimed value.
     max_iter / tol:
         Fixed-point stopping rule on normalised beliefs.
-    use_columnar:
-        Engine selector (``True`` / ``False`` / ``"auto"``); see
-        :func:`repro.data.columnar.resolve_engine`.
     """
 
     name = "ASUMS"
@@ -67,7 +61,6 @@ class Asums(TruthInferenceAlgorithm):
         ancestor_support: float = 0.5,
         max_iter: int = 50,
         tol: float = 1e-5,
-        use_columnar: Union[bool, str] = "auto",
     ) -> None:
         if not 0.0 < tau <= 1.0:
             raise ValueError("tau must be in (0, 1]")
@@ -75,17 +68,8 @@ class Asums(TruthInferenceAlgorithm):
         self.ancestor_support = ancestor_support
         self.max_iter = max_iter
         self.tol = tol
-        self.use_columnar = use_columnar
 
     def fit(self, dataset: TruthDiscoveryDataset) -> InferenceResult:
-        if resolve_engine(self.use_columnar, dataset):
-            return self._fit_columnar(dataset)
-        return self._fit_reference(dataset)
-
-    # ------------------------------------------------------------------
-    # columnar engine
-    # ------------------------------------------------------------------
-    def _fit_columnar(self, dataset: TruthDiscoveryDataset) -> InferenceResult:
         col = dataset.columnar()
         hier = col.hierarchy
         trust = np.ones(col.n_claimants, dtype=np.float64)
@@ -163,95 +147,3 @@ class Asums(TruthInferenceAlgorithm):
         )
         result.trust = col.claimant_mapping(trust)  # type: ignore[attr-defined]
         return result
-
-    # ------------------------------------------------------------------
-    # reference engine
-    # ------------------------------------------------------------------
-    def _fit_reference(self, dataset: TruthDiscoveryDataset) -> InferenceResult:
-        claims_cache = {obj: self._claims_of(dataset, obj) for obj in dataset.objects}
-        claimants = {c for claims in claims_cache.values() for c in claims}
-        trust: Dict[Hashable, float] = {c: 1.0 for c in claimants}
-        beliefs: Dict[ObjectId, np.ndarray] = {
-            obj: np.ones(dataset.context(obj).size) for obj in dataset.objects
-        }
-        iterations = 0
-        converged = False
-
-        for iterations in range(1, self.max_iter + 1):
-            # Belief step: claims support the claimed value and, partially,
-            # its candidate ancestors.
-            new_beliefs: Dict[ObjectId, np.ndarray] = {}
-            for obj, claims in claims_cache.items():
-                ctx = dataset.context(obj)
-                belief = np.zeros(ctx.size)
-                for claimant, value in claims.items():
-                    u = ctx.index[value]
-                    belief[u] += trust[claimant]
-                    for ancestor_pos in ctx.ancestor_sets[u]:
-                        belief[ancestor_pos] += self.ancestor_support * trust[claimant]
-                new_beliefs[obj] = belief
-            max_belief = max(
-                (float(vec.max()) for vec in new_beliefs.values()), default=1.0
-            )
-            max_belief = max(max_belief, 1e-12)
-            for obj in new_beliefs:
-                new_beliefs[obj] = new_beliefs[obj] / max_belief
-
-            # Trust step: a source is trusted if its claimed values are believed.
-            new_trust: Dict[Hashable, float] = {c: 0.0 for c in claimants}
-            counts: Dict[Hashable, int] = {c: 0 for c in claimants}
-            for obj, claims in claims_cache.items():
-                ctx = dataset.context(obj)
-                belief = new_beliefs[obj]
-                for claimant, value in claims.items():
-                    new_trust[claimant] += float(belief[ctx.index[value]])
-                    counts[claimant] += 1
-            max_trust = max(new_trust.values(), default=1.0)
-            max_trust = max(max_trust, 1e-12)
-            new_trust = {c: t / max_trust for c, t in new_trust.items()}
-
-            delta = max(
-                float(np.max(np.abs(new_beliefs[obj] - beliefs[obj])))
-                for obj in beliefs
-            )
-            beliefs = new_beliefs
-            trust = new_trust
-            if delta < self.tol:
-                converged = True
-                break
-
-        # Truth selection: deepest candidate within tau of the max belief.
-        confidences: Dict[ObjectId, np.ndarray] = {}
-        hierarchy = dataset.hierarchy
-        for obj in dataset.objects:
-            ctx = dataset.context(obj)
-            belief = beliefs[obj]
-            peak = float(belief.max())
-            chosen = 0
-            best_depth = -1
-            for pos, value in enumerate(ctx.values):
-                if peak <= 0 or belief[pos] < self.tau * peak:
-                    continue
-                depth = hierarchy.depth(value)
-                if depth > best_depth or (
-                    depth == best_depth and belief[pos] > belief[chosen]
-                ):
-                    chosen = pos
-                    best_depth = depth
-            # Encode the selection while preserving belief ordering elsewhere.
-            scores = belief.copy()
-            if scores.sum() > 0:
-                scores = scores / scores.sum()
-            boost = np.zeros(ctx.size)
-            boost[chosen] = 1.0
-            confidences[obj] = 0.5 * scores + 0.5 * boost
-        result = InferenceResult(dataset, confidences, iterations, converged)
-        result.trust = trust  # type: ignore[attr-defined]
-        return result
-
-    @staticmethod
-    def _claims_of(dataset: TruthDiscoveryDataset, obj: ObjectId):
-        claims: Dict[Hashable, object] = dict(dataset.records_for(obj))
-        for worker, value in dataset.answers_for(obj).items():
-            claims[("worker", worker)] = value
-        return claims

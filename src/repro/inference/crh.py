@@ -11,11 +11,10 @@ class serves Table 3 (categorical) and Table 6 (numeric).
 from __future__ import annotations
 
 import math
-from typing import Dict, Hashable, Mapping, Union
+from typing import Dict, Hashable, Mapping
 
 import numpy as np
 
-from ..data.columnar import resolve_engine
 from ..data.model import ObjectId, TruthDiscoveryDataset
 from .base import ColumnarInferenceResult, InferenceResult, TruthInferenceAlgorithm
 
@@ -39,32 +38,20 @@ def _crh_step_kernel(ops, weights):
 class Crh(TruthInferenceAlgorithm):
     """CRH for categorical claims (weighted voting + loss-based weights).
 
-    ``use_columnar`` selects between the per-object dict loop (reference) and
-    the vectorized engine, where both CRH steps collapse to ``np.bincount``
-    calls over the flat claim table: the weighted vote scatters claimant
-    weights onto candidate slots, and the 0-1 loss step compares each claim's
-    slot against the per-object argmax slot.
+    Both CRH steps are ``np.bincount`` calls over the flat claim table: the
+    weighted vote scatters claimant weights onto candidate slots, and the 0-1
+    loss step compares each claim's slot against the per-object argmax slot.
+    The per-object dict loop is the parity oracle in ``tests/oracles.py``.
     """
 
     name = "CRH"
     supports_workers = True
 
-    def __init__(
-        self,
-        max_iter: int = 30,
-        tol: float = 1e-4,
-        use_columnar: Union[bool, str] = "auto",
-    ) -> None:
+    def __init__(self, max_iter: int = 30, tol: float = 1e-4) -> None:
         self.max_iter = max_iter
         self.tol = tol
-        self.use_columnar = use_columnar
 
     def fit(self, dataset: TruthDiscoveryDataset) -> InferenceResult:
-        if resolve_engine(self.use_columnar, dataset):
-            return self._fit_columnar(dataset)
-        return self._fit_reference(dataset)
-
-    def _fit_columnar(self, dataset: TruthDiscoveryDataset) -> InferenceResult:
         col = dataset.columnar()
         weights = np.ones(col.n_claimants, dtype=np.float64)
         counts = col.claimant_counts()
@@ -94,62 +81,6 @@ class Crh(TruthInferenceAlgorithm):
         result = ColumnarInferenceResult(dataset, col, flat_conf, iterations, converged)
         result.source_weights = col.claimant_mapping(weights)  # type: ignore[attr-defined]
         return result
-
-    def _fit_reference(self, dataset: TruthDiscoveryDataset) -> InferenceResult:
-        claims_cache = {obj: self._claims_of(dataset, obj) for obj in dataset.objects}
-        claimants = {c for claims in claims_cache.values() for c in claims}
-        weights: Dict[Hashable, float] = {c: 1.0 for c in claimants}
-        confidences: Dict[ObjectId, np.ndarray] = {}
-        iterations = 0
-        converged = False
-
-        for iterations in range(1, self.max_iter + 1):
-            # Truth step: weighted vote.
-            confidences = {}
-            for obj, claims in claims_cache.items():
-                ctx = dataset.context(obj)
-                scores = np.zeros(ctx.size)
-                for claimant, value in claims.items():
-                    scores[ctx.index[value]] += weights[claimant]
-                total = scores.sum()
-                confidences[obj] = (
-                    scores / total if total > 0 else np.full(ctx.size, 1.0 / ctx.size)
-                )
-            truths = {
-                obj: dataset.context(obj).values[int(np.argmax(vec))]
-                for obj, vec in confidences.items()
-            }
-            # Weight step: 0-1 loss against current truths.
-            losses: Dict[Hashable, float] = {c: 0.0 for c in claimants}
-            counts: Dict[Hashable, int] = {c: 0 for c in claimants}
-            for obj, claims in claims_cache.items():
-                for claimant, value in claims.items():
-                    losses[claimant] += 0.0 if value == truths[obj] else 1.0
-                    counts[claimant] += 1
-            total_loss = sum(
-                (losses[c] + 0.5) / (counts[c] + 1.0) for c in claimants
-            )
-            new_weights = {
-                c: -math.log(((losses[c] + 0.5) / (counts[c] + 1.0)) / total_loss)
-                for c in claimants
-            }
-            delta = max(
-                abs(new_weights[c] - weights[c]) for c in claimants
-            ) if claimants else 0.0
-            weights = new_weights
-            if delta < self.tol:
-                converged = True
-                break
-        result = InferenceResult(dataset, confidences, iterations, converged)
-        result.source_weights = weights  # type: ignore[attr-defined]
-        return result
-
-    @staticmethod
-    def _claims_of(dataset: TruthDiscoveryDataset, obj: ObjectId):
-        claims: Dict[Hashable, object] = dict(dataset.records_for(obj))
-        for worker, value in dataset.answers_for(obj).items():
-            claims[("worker", worker)] = value
-        return claims
 
 
 class CrhNumeric:

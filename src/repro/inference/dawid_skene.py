@@ -12,39 +12,30 @@ package's per-object candidate formulation:
 * ZenCrowd keeps a single reliability ``r_c``: a claim matches the truth
   with probability ``r_c`` and is uniform otherwise.
 
-Each model ships two engines. The reference engine iterates Python dicts per
-object per EM round — the shape the formulas are written in. The columnar
-engine (``use_columnar``) runs the same E/M updates over the dataset's
+Both models run their E/M updates over the dataset's
 :class:`~repro.data.columnar.ColumnarClaims` encoding: the confusion-cell
 scatter and the per-candidate log-likelihood gather both become
 ``np.bincount`` calls over the precomputed claim x candidate
-:class:`~repro.data.columnar.PairExpansion`, whose row order matches the
-reference loops so the accumulated sums agree to float round-off.
+:class:`~repro.data.columnar.PairExpansion`. Its row order matches the
+per-object dict loops the formulas are written in, which are kept as the
+parity oracles in ``tests/oracles.py``, so the accumulated sums agree to
+float round-off.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Optional, Tuple, Union
+from typing import Optional
 
 import numpy as np
 
-from ..data.columnar import FrontierView, incremental_frontier, resolve_engine
-from ..data.model import ObjectId, TruthDiscoveryDataset
-from ..hierarchy.tree import Value
+from ..data.columnar import FrontierView, incremental_frontier
+from ..data.model import TruthDiscoveryDataset
 from .base import (
     ColumnarInferenceResult,
     InferenceResult,
     TruthInferenceAlgorithm,
-    initial_confidences,
     validate_warm_start,
 )
-
-
-def _claims_of(dataset: TruthDiscoveryDataset, obj: ObjectId) -> Dict[Hashable, Value]:
-    claims: Dict[Hashable, Value] = dict(dataset.records_for(obj))
-    for worker, value in dataset.answers_for(obj).items():
-        claims[("worker", worker)] = value
-    return claims
 
 
 def _confusion_estep_kernel(ops, mu, cells, totals, smoothing, with_prior):
@@ -180,9 +171,6 @@ class DawidSkene(TruthInferenceAlgorithm):
         Laplace pseudo-count per confusion cell.
     max_iter / tol:
         EM stopping rule on confidence change.
-    use_columnar:
-        Engine selector (``True`` / ``False`` / ``"auto"``); see
-        :func:`repro.data.columnar.resolve_engine`.
     incremental / frontier_hops:
         With ``incremental=True`` and a ``warm_start=`` result from the same
         dataset, re-converge only the dirty frontier (touched objects plus
@@ -199,14 +187,12 @@ class DawidSkene(TruthInferenceAlgorithm):
         smoothing: float = 0.5,
         max_iter: int = 40,
         tol: float = 1e-5,
-        use_columnar: Union[bool, str] = "auto",
         incremental: bool = False,
         frontier_hops: int = 1,
     ) -> None:
         self.smoothing = smoothing
         self.max_iter = max_iter
         self.tol = tol
-        self.use_columnar = use_columnar
         self.incremental = incremental
         if frontier_hops < 0:
             raise ValueError("frontier_hops must be >= 0")
@@ -218,19 +204,14 @@ class DawidSkene(TruthInferenceAlgorithm):
         warm_start: Optional[InferenceResult] = None,
     ) -> InferenceResult:
         warm_start = validate_warm_start(dataset, warm_start)
-        if resolve_engine(self.use_columnar, dataset):
-            if self.incremental and warm_start is not None:
-                result = _incremental_confusion_fit(
-                    self, dataset, warm_start, with_prior=True
-                )
-                if result is not None:
-                    return result
-            return self._fit_columnar(dataset)
-        return self._fit_reference(dataset)
+        if self.incremental and warm_start is not None:
+            result = _incremental_confusion_fit(
+                self, dataset, warm_start, with_prior=True
+            )
+            if result is not None:
+                return result
+        return self._fit_columnar(dataset)
 
-    # ------------------------------------------------------------------
-    # columnar engine
-    # ------------------------------------------------------------------
     def _fit_columnar(self, dataset: TruthDiscoveryDataset) -> InferenceResult:
         col = dataset.columnar()
         pairs = col.pairs
@@ -260,58 +241,6 @@ class DawidSkene(TruthInferenceAlgorithm):
                 break
         return ColumnarInferenceResult(dataset, col, mu, iterations, converged)
 
-    # ------------------------------------------------------------------
-    # reference engine
-    # ------------------------------------------------------------------
-    def _fit_reference(self, dataset: TruthDiscoveryDataset) -> InferenceResult:
-        mu = initial_confidences(dataset)
-        claims_cache = {obj: _claims_of(dataset, obj) for obj in dataset.objects}
-        iterations = 0
-        converged = False
-
-        for iterations in range(1, self.max_iter + 1):
-            # M-step: confusion cells and per-truth totals.
-            cells: Dict[Hashable, Dict[Tuple[Value, Value], float]] = {}
-            totals: Dict[Hashable, Dict[Value, float]] = {}
-            for obj, claims in claims_cache.items():
-                ctx = dataset.context(obj)
-                probs = mu[obj]
-                for claimant, claimed in claims.items():
-                    cell = cells.setdefault(claimant, {})
-                    total = totals.setdefault(claimant, {})
-                    for pos, truth in enumerate(ctx.values):
-                        weight = float(probs[pos])
-                        if weight <= 0:
-                            continue
-                        cell[(truth, claimed)] = cell.get((truth, claimed), 0.0) + weight
-                        total[truth] = total.get(truth, 0.0) + weight
-
-            # Class prior per object from current confidences (the original's
-            # marginal class probabilities, localised to the candidate set).
-            new_mu: Dict[ObjectId, np.ndarray] = {}
-            delta = 0.0
-            for obj, claims in claims_cache.items():
-                ctx = dataset.context(obj)
-                n = ctx.size
-                log_post = np.log(np.maximum(mu[obj], 1e-12))
-                for claimant, claimed in claims.items():
-                    cell = cells.get(claimant, {})
-                    total = totals.get(claimant, {})
-                    for pos, truth in enumerate(ctx.values):
-                        numerator = cell.get((truth, claimed), 0.0) + self.smoothing
-                        denominator = total.get(truth, 0.0) + self.smoothing * n
-                        log_post[pos] += np.log(numerator / denominator)
-                log_post -= log_post.max()
-                posterior = np.exp(log_post)
-                posterior /= posterior.sum()
-                delta = max(delta, float(np.max(np.abs(posterior - mu[obj]))))
-                new_mu[obj] = posterior
-            mu = new_mu
-            if delta < self.tol:
-                converged = True
-                break
-        return InferenceResult(dataset, mu, iterations, converged)
-
 
 class ZenCrowd(TruthInferenceAlgorithm):
     """ZenCrowd: single Bernoulli reliability per claimant, EM-estimated."""
@@ -325,14 +254,12 @@ class ZenCrowd(TruthInferenceAlgorithm):
         prior_reliability: float = 0.7,
         max_iter: int = 40,
         tol: float = 1e-5,
-        use_columnar: Union[bool, str] = "auto",
         incremental: bool = False,
         frontier_hops: int = 1,
     ) -> None:
         self.prior_reliability = prior_reliability
         self.max_iter = max_iter
         self.tol = tol
-        self.use_columnar = use_columnar
         self.incremental = incremental
         if frontier_hops < 0:
             raise ValueError("frontier_hops must be >= 0")
@@ -344,13 +271,11 @@ class ZenCrowd(TruthInferenceAlgorithm):
         warm_start: Optional[InferenceResult] = None,
     ) -> InferenceResult:
         warm_start = validate_warm_start(dataset, warm_start)
-        if resolve_engine(self.use_columnar, dataset):
-            if self.incremental and warm_start is not None:
-                result = self._fit_incremental(dataset, warm_start)
-                if result is not None:
-                    return result
-            return self._fit_columnar(dataset)
-        return self._fit_reference(dataset)
+        if self.incremental and warm_start is not None:
+            result = self._fit_incremental(dataset, warm_start)
+            if result is not None:
+                return result
+        return self._fit_columnar(dataset)
 
     # ------------------------------------------------------------------
     # incremental engine (dirty-object frontier)
@@ -436,7 +361,7 @@ class ZenCrowd(TruthInferenceAlgorithm):
         return result
 
     # ------------------------------------------------------------------
-    # columnar engine
+    # full fit
     # ------------------------------------------------------------------
     def _fit_columnar(self, dataset: TruthDiscoveryDataset) -> InferenceResult:
         col = dataset.columnar()
@@ -463,50 +388,4 @@ class ZenCrowd(TruthInferenceAlgorithm):
                 break
         result = ColumnarInferenceResult(dataset, col, mu, iterations, converged)
         result.reliability = col.claimant_mapping(reliability)  # type: ignore[attr-defined]
-        return result
-
-    # ------------------------------------------------------------------
-    # reference engine
-    # ------------------------------------------------------------------
-    def _fit_reference(self, dataset: TruthDiscoveryDataset) -> InferenceResult:
-        mu = initial_confidences(dataset)
-        claims_cache = {obj: _claims_of(dataset, obj) for obj in dataset.objects}
-        claimants = {c for claims in claims_cache.values() for c in claims}
-        reliability: Dict[Hashable, float] = {
-            c: self.prior_reliability for c in claimants
-        }
-        iterations = 0
-        converged = False
-
-        for iterations in range(1, self.max_iter + 1):
-            new_mu: Dict[ObjectId, np.ndarray] = {}
-            delta = 0.0
-            correct_mass = {c: 0.0 for c in claimants}
-            counts = {c: 0 for c in claimants}
-            for obj, claims in claims_cache.items():
-                ctx = dataset.context(obj)
-                n = ctx.size
-                log_post = np.log(np.maximum(mu[obj], 1e-12))
-                for claimant, claimed in claims.items():
-                    r = min(max(reliability[claimant], 1e-3), 1 - 1e-3)
-                    like = np.full(n, (1.0 - r) / max(n - 1, 1))
-                    like[ctx.index[claimed]] = r
-                    log_post += np.log(like)
-                log_post -= log_post.max()
-                posterior = np.exp(log_post)
-                posterior /= posterior.sum()
-                delta = max(delta, float(np.max(np.abs(posterior - mu[obj]))))
-                new_mu[obj] = posterior
-                for claimant, claimed in claims.items():
-                    correct_mass[claimant] += float(posterior[ctx.index[claimed]])
-                    counts[claimant] += 1
-            mu = new_mu
-            reliability = {
-                c: (correct_mass[c] + 1.0) / (counts[c] + 2.0) for c in claimants
-            }
-            if delta < self.tol:
-                converged = True
-                break
-        result = InferenceResult(dataset, mu, iterations, converged)
-        result.reliability = reliability  # type: ignore[attr-defined]
         return result

@@ -22,30 +22,23 @@ E/M updates per round, with ``d(o)`` the object's domain:
   (|claims_{s,d}| + k)`` — Beta-smoothed per-domain accuracy toward the
   prior ``a0``.
 
-The columnar engine (``use_columnar``) reads each object's domain off
+The fit reads each object's domain off
 :class:`~repro.data.columnar.ColumnarHierarchy` (``top_code`` of the
 majority-record candidate), keeps the accuracies in one dense
 ``(claimants, domains)`` array — whose unobserved cells equal the Beta prior
-exactly, matching the reference's dict fallback — and reduces the E/M steps
-with ``np.bincount`` over the claim x candidate pairs. Parity within 1e-8 is
-enforced by ``tests/test_columnar_parity.py``.
+exactly, matching the dict fallback of the loops in ``tests/oracles.py`` —
+and reduces the E/M steps with ``np.bincount`` over the claim x candidate
+pairs. Parity with that oracle within 1e-8 is enforced by
+``tests/test_columnar_parity.py``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Tuple, Union
-
 import numpy as np
 
-from ..data.columnar import resolve_engine
 from ..data.model import ObjectId, TruthDiscoveryDataset
 from ..hierarchy.tree import Value
-from .base import (
-    ColumnarInferenceResult,
-    InferenceResult,
-    TruthInferenceAlgorithm,
-    initial_confidences,
-)
+from .base import ColumnarInferenceResult, InferenceResult, TruthInferenceAlgorithm
 
 
 class Docs(TruthInferenceAlgorithm):
@@ -57,9 +50,6 @@ class Docs(TruthInferenceAlgorithm):
         EM stopping rule on confidence change.
     smoothing:
         Beta pseudo-counts for per-domain accuracies.
-    use_columnar:
-        Engine selector (``True`` / ``False`` / ``"auto"``); see
-        :func:`repro.data.columnar.resolve_engine`.
     """
 
     name = "DOCS"
@@ -70,12 +60,10 @@ class Docs(TruthInferenceAlgorithm):
         max_iter: int = 50,
         tol: float = 1e-5,
         smoothing: float = 4.0,
-        use_columnar: Union[bool, str] = "auto",
     ) -> None:
         self.max_iter = max_iter
         self.tol = tol
         self.smoothing = smoothing
-        self.use_columnar = use_columnar
 
     # ------------------------------------------------------------------
     def object_domain(self, dataset: TruthDiscoveryDataset, obj: ObjectId) -> Value:
@@ -90,21 +78,13 @@ class Docs(TruthInferenceAlgorithm):
         return path[-2] if len(path) >= 2 else majority
 
     def fit(self, dataset: TruthDiscoveryDataset) -> InferenceResult:
-        if resolve_engine(self.use_columnar, dataset):
-            return self._fit_columnar(dataset)
-        return self._fit_reference(dataset)
-
-    # ------------------------------------------------------------------
-    # columnar engine
-    # ------------------------------------------------------------------
-    def _fit_columnar(self, dataset: TruthDiscoveryDataset) -> InferenceResult:
         col = dataset.columnar()
         pairs = col.pairs
         hier = col.hierarchy
         mu = col.initial_confidences_flat()
 
         # Domain per object: top_code of the majority *record* candidate
-        # (first-max tie-break, like np.argmax in the reference).
+        # (first-max tie-break, like np.argmax over the per-object counts).
         majority_slot = col.segment_argmax_slot(col.record_counts())
         domain_code = hier.top_code[col.slot_vid[majority_slot]]
         n_domains = max(len(hier.domains), 1)
@@ -158,73 +138,3 @@ class Docs(TruthInferenceAlgorithm):
             for obj, code in zip(col.objects, domain_code)
         }
         return result
-
-    # ------------------------------------------------------------------
-    # reference engine
-    # ------------------------------------------------------------------
-    def _fit_reference(self, dataset: TruthDiscoveryDataset) -> InferenceResult:
-        mu = initial_confidences(dataset)
-        domains = {obj: self.object_domain(dataset, obj) for obj in dataset.objects}
-        claims_cache = {obj: self._claims_of(dataset, obj) for obj in dataset.objects}
-
-        # accuracy[(claimant, domain)] with global fallback.
-        prior_correct = 0.7
-        accuracy: Dict[Tuple[Hashable, Value], float] = {}
-
-        iterations = 0
-        converged = False
-        for iterations in range(1, self.max_iter + 1):
-            new_mu: Dict[ObjectId, np.ndarray] = {}
-            delta = 0.0
-            for obj, claims in claims_cache.items():
-                ctx = dataset.context(obj)
-                n = ctx.size
-                domain = domains[obj]
-                log_post = np.log(np.maximum(mu[obj], 1e-12))
-                for claimant, value in claims.items():
-                    u = ctx.index[value]
-                    acc = accuracy.get((claimant, domain), prior_correct)
-                    acc = min(max(acc, 1e-3), 1.0 - 1e-3)
-                    like = np.full(n, (1.0 - acc) / max(n - 1, 1))
-                    like[u] = acc
-                    log_post += np.log(like)
-                log_post -= log_post.max()
-                posterior = np.exp(log_post)
-                posterior /= posterior.sum()
-                delta = max(delta, float(np.max(np.abs(posterior - mu[obj]))))
-                new_mu[obj] = posterior
-            mu = new_mu
-
-            # Per-domain accuracy update with Beta smoothing.
-            correct_mass: Dict[Tuple[Hashable, Value], float] = {}
-            counts: Dict[Tuple[Hashable, Value], float] = {}
-            for obj, claims in claims_cache.items():
-                ctx = dataset.context(obj)
-                domain = domains[obj]
-                probs = mu[obj]
-                for claimant, value in claims.items():
-                    key = (claimant, domain)
-                    correct_mass[key] = correct_mass.get(key, 0.0) + float(
-                        probs[ctx.index[value]]
-                    )
-                    counts[key] = counts.get(key, 0.0) + 1.0
-            accuracy = {
-                key: (correct_mass[key] + self.smoothing * prior_correct)
-                / (counts[key] + self.smoothing)
-                for key in counts
-            }
-            if delta < self.tol:
-                converged = True
-                break
-
-        result = InferenceResult(dataset, mu, iterations, converged)
-        result.domain_accuracy = accuracy  # type: ignore[attr-defined]
-        result.domains = domains  # type: ignore[attr-defined]
-        return result
-
-    @staticmethod
-    def _claims_of(dataset: TruthDiscoveryDataset, obj: ObjectId):
-        claims: Dict[Hashable, object] = dict(dataset.records_for(obj))
-        for worker, value in dataset.answers_for(obj).items():
-            claims[("worker", worker)] = value
-        return claims

@@ -15,28 +15,19 @@ EM alternates between the two updates per round:
 * **M-step**: ``h_s = (sum_claims mu_{o,u} + k) / (|claims_s| + 2k)`` — the
   Beta-smoothed expected fraction of honest claims.
 
-The columnar engine (``use_columnar``) evaluates the likelihood per claim x
-candidate pair over the :class:`~repro.data.columnar.PairExpansion` (the
-guess distribution ``q`` is one flat per-slot array) and reduces with
-``np.bincount``; the dict loops stay as the reference, parity within 1e-8
+The fit evaluates the likelihood per claim x candidate pair over the
+:class:`~repro.data.columnar.PairExpansion` (the guess distribution ``q`` is
+one flat per-slot array) and reduces with ``np.bincount``; the dict loops it
+replaced are the parity oracle in ``tests/oracles.py``, parity within 1e-8
 enforced by ``tests/test_columnar_parity.py``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Union
-
 import numpy as np
 
-from ..data.columnar import resolve_engine
-from ..data.model import ObjectId, TruthDiscoveryDataset
-from .base import (
-    ColumnarInferenceResult,
-    InferenceResult,
-    TruthInferenceAlgorithm,
-    claim_counts,
-    initial_confidences,
-)
+from ..data.model import TruthDiscoveryDataset
+from .base import ColumnarInferenceResult, InferenceResult, TruthInferenceAlgorithm
 
 
 class GuessLca(TruthInferenceAlgorithm):
@@ -50,9 +41,6 @@ class GuessLca(TruthInferenceAlgorithm):
         EM stopping rule on confidence change.
     smoothing:
         Beta-style pseudo-counts on the honesty update.
-    use_columnar:
-        Engine selector (``True`` / ``False`` / ``"auto"``); see
-        :func:`repro.data.columnar.resolve_engine`.
     """
 
     name = "LCA"
@@ -64,23 +52,13 @@ class GuessLca(TruthInferenceAlgorithm):
         max_iter: int = 50,
         tol: float = 1e-5,
         smoothing: float = 1.0,
-        use_columnar: Union[bool, str] = "auto",
     ) -> None:
         self.prior_honesty = prior_honesty
         self.max_iter = max_iter
         self.tol = tol
         self.smoothing = smoothing
-        self.use_columnar = use_columnar
 
     def fit(self, dataset: TruthDiscoveryDataset) -> InferenceResult:
-        if resolve_engine(self.use_columnar, dataset):
-            return self._fit_columnar(dataset)
-        return self._fit_reference(dataset)
-
-    # ------------------------------------------------------------------
-    # columnar engine
-    # ------------------------------------------------------------------
-    def _fit_columnar(self, dataset: TruthDiscoveryDataset) -> InferenceResult:
         col = dataset.columnar()
         pairs = col.pairs
         mu = col.initial_confidences_flat()
@@ -124,79 +102,3 @@ class GuessLca(TruthInferenceAlgorithm):
         result = ColumnarInferenceResult(dataset, col, mu, iterations, converged)
         result.honesty = col.claimant_mapping(honesty)  # type: ignore[attr-defined]
         return result
-
-    # ------------------------------------------------------------------
-    # reference engine
-    # ------------------------------------------------------------------
-    def _fit_reference(self, dataset: TruthDiscoveryDataset) -> InferenceResult:
-        mu = initial_confidences(dataset)
-        claims_cache = {obj: self._claims_of(dataset, obj) for obj in dataset.objects}
-        claimants = {c for claims in claims_cache.values() for c in claims}
-        honesty: Dict[Hashable, float] = {c: self.prior_honesty for c in claimants}
-
-        # Guess distributions q_o from claim popularity (records + answers).
-        guess: Dict[ObjectId, np.ndarray] = {}
-        for obj in dataset.objects:
-            ctx = dataset.context(obj)
-            counts = claim_counts(dataset, obj)
-            for value in dataset.answers_for(obj).values():
-                counts[ctx.index[value]] += 1.0
-            counts += 1.0  # smooth so every candidate is guessable
-            guess[obj] = counts / counts.sum()
-
-        iterations = 0
-        converged = False
-        for iterations in range(1, self.max_iter + 1):
-            new_mu: Dict[ObjectId, np.ndarray] = {}
-            correct_mass: Dict[Hashable, float] = {c: 0.0 for c in claimants}
-            claim_count: Dict[Hashable, int] = {c: 0 for c in claimants}
-            delta = 0.0
-            for obj, claims in claims_cache.items():
-                ctx = dataset.context(obj)
-                n = ctx.size
-                q = guess[obj]
-                log_post = np.log(np.maximum(mu[obj], 1e-12))
-                for claimant, value in claims.items():
-                    u = ctx.index[value]
-                    h = honesty[claimant]
-                    like = np.empty(n)
-                    for v in range(n):
-                        if v == u:
-                            like[v] = h
-                        else:
-                            denom = max(1.0 - q[v], 1e-9)
-                            like[v] = (1.0 - h) * q[u] / denom
-                    log_post += np.log(np.maximum(like, 1e-12))
-                log_post -= log_post.max()
-                posterior = np.exp(log_post)
-                posterior /= posterior.sum()
-                delta = max(delta, float(np.max(np.abs(posterior - mu[obj]))))
-                new_mu[obj] = posterior
-                for claimant, value in claims.items():
-                    correct_mass[claimant] += float(posterior[ctx.index[value]])
-                    claim_count[claimant] += 1
-            mu = new_mu
-            honesty = {
-                c: min(
-                    max(
-                        (correct_mass[c] + self.smoothing)
-                        / (claim_count[c] + 2.0 * self.smoothing),
-                        0.01,
-                    ),
-                    0.99,
-                )
-                for c in claimants
-            }
-            if delta < self.tol:
-                converged = True
-                break
-        result = InferenceResult(dataset, mu, iterations, converged)
-        result.honesty = honesty  # type: ignore[attr-defined]
-        return result
-
-    @staticmethod
-    def _claims_of(dataset: TruthDiscoveryDataset, obj: ObjectId):
-        claims: Dict[Hashable, object] = dict(dataset.records_for(obj))
-        for worker, value in dataset.answers_for(obj).items():
-            claims[("worker", worker)] = value
-        return claims

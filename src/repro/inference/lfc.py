@@ -17,11 +17,11 @@ E/M updates per round:
   (uniform class prior, unlike Dawid-Skene which multiplies in the current
   ``mu``), normalised per object.
 
-The columnar engine (``use_columnar``) runs the same two steps as
-``np.bincount`` scatter/gathers over the precomputed claim x candidate
-:class:`~repro.data.columnar.PairExpansion` — structurally the Dawid-Skene
-fast path minus the class-prior term. The dict loops stay as the reference;
-parity within 1e-8 is enforced by ``tests/test_columnar_parity.py``.
+Both steps run as ``np.bincount`` scatter/gathers over the precomputed
+claim x candidate :class:`~repro.data.columnar.PairExpansion` — structurally
+the Dawid-Skene fit minus the class-prior term. The dict loops they replaced
+are the parity oracle in ``tests/oracles.py``; parity within 1e-8 is
+enforced by ``tests/test_columnar_parity.py``.
 
 ``LfcMT`` is the multi-truth reading used in Table 5: every value whose
 posterior exceeds a threshold is emitted.
@@ -29,18 +29,16 @@ posterior exceeds a threshold is emitted.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Optional, Set, Tuple, Union
+from typing import Dict, Optional, Set
 
 import numpy as np
 
-from ..data.columnar import resolve_engine
 from ..data.model import ObjectId, TruthDiscoveryDataset
 from ..hierarchy.tree import Value
 from .base import (
     ColumnarInferenceResult,
     InferenceResult,
     TruthInferenceAlgorithm,
-    initial_confidences,
     validate_warm_start,
 )
 from .dawid_skene import _confusion_estep_kernel, _incremental_confusion_fit
@@ -55,9 +53,6 @@ class Lfc(TruthInferenceAlgorithm):
         Dirichlet pseudo-count added to every (truth, claimed) cell.
     max_iter / tol:
         EM stopping rule on confidence change.
-    use_columnar:
-        Engine selector (``True`` / ``False`` / ``"auto"``); see
-        :func:`repro.data.columnar.resolve_engine`.
     incremental / frontier_hops:
         With ``incremental=True`` and a ``warm_start=`` result from the same
         dataset, re-converge only the dirty frontier (see
@@ -73,14 +68,12 @@ class Lfc(TruthInferenceAlgorithm):
         smoothing: float = 1.0,
         max_iter: int = 50,
         tol: float = 1e-5,
-        use_columnar: Union[bool, str] = "auto",
         incremental: bool = False,
         frontier_hops: int = 1,
     ) -> None:
         self.smoothing = smoothing
         self.max_iter = max_iter
         self.tol = tol
-        self.use_columnar = use_columnar
         self.incremental = incremental
         if frontier_hops < 0:
             raise ValueError("frontier_hops must be >= 0")
@@ -92,19 +85,14 @@ class Lfc(TruthInferenceAlgorithm):
         warm_start: Optional[InferenceResult] = None,
     ) -> InferenceResult:
         warm_start = validate_warm_start(dataset, warm_start)
-        if resolve_engine(self.use_columnar, dataset):
-            if self.incremental and warm_start is not None:
-                result = _incremental_confusion_fit(
-                    self, dataset, warm_start, with_prior=False
-                )
-                if result is not None:
-                    return result
-            return self._fit_columnar(dataset)
-        return self._fit_reference(dataset)
+        if self.incremental and warm_start is not None:
+            result = _incremental_confusion_fit(
+                self, dataset, warm_start, with_prior=False
+            )
+            if result is not None:
+                return result
+        return self._fit_columnar(dataset)
 
-    # ------------------------------------------------------------------
-    # columnar engine
-    # ------------------------------------------------------------------
     def _fit_columnar(self, dataset: TruthDiscoveryDataset) -> InferenceResult:
         col = dataset.columnar()
         pairs = col.pairs
@@ -133,68 +121,6 @@ class Lfc(TruthInferenceAlgorithm):
                 converged = True
                 break
         return ColumnarInferenceResult(dataset, col, mu, iterations, converged)
-
-    # ------------------------------------------------------------------
-    # reference engine
-    # ------------------------------------------------------------------
-    def _fit_reference(self, dataset: TruthDiscoveryDataset) -> InferenceResult:
-        mu = initial_confidences(dataset)
-        claims_cache = {
-            obj: self._claims_of(dataset, obj) for obj in dataset.objects
-        }
-        iterations = 0
-        converged = False
-        confusion: Dict[Hashable, Dict[Tuple[Value, Value], float]] = {}
-        totals: Dict[Hashable, Dict[Value, float]] = {}
-
-        for iterations in range(1, self.max_iter + 1):
-            # M-step for confusion matrices from current responsibilities.
-            confusion = {}
-            totals = {}
-            for obj, claims in claims_cache.items():
-                ctx = dataset.context(obj)
-                probs = mu[obj]
-                for claimant, claimed in claims.items():
-                    cell = confusion.setdefault(claimant, {})
-                    tot = totals.setdefault(claimant, {})
-                    for pos, truth in enumerate(ctx.values):
-                        weight = float(probs[pos])
-                        if weight <= 0:
-                            continue
-                        cell[(truth, claimed)] = cell.get((truth, claimed), 0.0) + weight
-                        tot[truth] = tot.get(truth, 0.0) + weight
-
-            # E-step: posterior over candidate truths.
-            new_mu: Dict[ObjectId, np.ndarray] = {}
-            delta = 0.0
-            for obj, claims in claims_cache.items():
-                ctx = dataset.context(obj)
-                n = ctx.size
-                log_post = np.zeros(n)
-                for claimant, claimed in claims.items():
-                    cell = confusion.get(claimant, {})
-                    tot = totals.get(claimant, {})
-                    for pos, truth in enumerate(ctx.values):
-                        numerator = cell.get((truth, claimed), 0.0) + self.smoothing
-                        denominator = tot.get(truth, 0.0) + self.smoothing * n
-                        log_post[pos] += np.log(numerator / denominator)
-                log_post -= log_post.max()
-                posterior = np.exp(log_post)
-                posterior /= posterior.sum()
-                delta = max(delta, float(np.max(np.abs(posterior - mu[obj]))))
-                new_mu[obj] = posterior
-            mu = new_mu
-            if delta < self.tol:
-                converged = True
-                break
-        return InferenceResult(dataset, mu, iterations, converged)
-
-    @staticmethod
-    def _claims_of(dataset: TruthDiscoveryDataset, obj: ObjectId) -> Dict[Hashable, Value]:
-        claims: Dict[Hashable, Value] = dict(dataset.records_for(obj))
-        for worker, value in dataset.answers_for(obj).items():
-            claims[("worker", worker)] = value
-        return claims
 
 
 class LfcMT(Lfc):

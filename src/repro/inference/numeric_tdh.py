@@ -7,15 +7,14 @@ exact pipeline of the paper's stock-dataset experiment, packaged for reuse.
 
 The E/M updates are exactly TDH's (see :mod:`repro.inference.tdh`): the
 rounding chains become ancestor paths, so "generalized" means "claimed at
-coarser precision". Both of TDH's execution engines are therefore available
-here too — ``use_columnar`` is forwarded to the underlying model, and the
-CSR ancestor arrays of :class:`~repro.data.columnar.ColumnarHierarchy` are
-built over the rounding hierarchy like over any other tree.
+coarser precision", and the CSR ancestor arrays of
+:class:`~repro.data.columnar.ColumnarHierarchy` are built over the rounding
+hierarchy like over any other tree.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Mapping, Optional, Union
+from typing import Dict, Hashable, Mapping, Optional
 
 from ..datasets.stock import claims_to_dataset
 from .numeric import NumericClaims
@@ -33,9 +32,6 @@ class NumericTdh:
     max_digits:
         Precision cap of the rounding hierarchy — claims are canonicalised to
         this many significant digits.
-    use_columnar:
-        Engine selector for the default model (ignored when ``model`` is
-        given); see :func:`repro.data.columnar.resolve_engine`.
     """
 
     name = "TDH"
@@ -44,13 +40,8 @@ class NumericTdh:
         self,
         model: Optional[TDHModel] = None,
         max_digits: int = 6,
-        use_columnar: Union[bool, str] = "auto",
     ) -> None:
-        self.model = (
-            model
-            if model is not None
-            else TDHModel(max_iter=30, tol=1e-4, use_columnar=use_columnar)
-        )
+        self.model = model if model is not None else TDHModel(max_iter=30, tol=1e-4)
         self.max_digits = max_digits
         self.last_result: Optional[TDHResult] = None
 

@@ -18,16 +18,15 @@ MAP EM of Section 3.2:
   (same shape with ``beta`` for worker ``psi``);
 * **truth**: argmax confidence, Eq. (12).
 
-Two execution engines implement the identical updates. The reference engine
-walks per-object dicts with the small per-object likelihood matrices of
-:mod:`repro.inference._structures`. The columnar engine (``use_columnar``)
-evaluates the case weights of Eq. (1)-(4) once per claim x candidate pair —
-the ancestor tests come from
+The fit evaluates the case weights of Eq. (1)-(4) once per claim x candidate
+pair — the ancestor tests come from
 :class:`~repro.data.columnar.ColumnarHierarchy`'s Euler intervals, the
 popularity denominators from its CSR ancestor arrays — after which every EM
 round is a handful of ``np.bincount`` scatter/gathers over the flat claim
-table. Parity (1e-8, identical iteration counts) is enforced by
-``tests/test_columnar_parity.py``.
+table. The per-object dict loop over the small likelihood matrices of
+:mod:`repro.inference._structures` is the parity oracle in
+``tests/oracles.py``; parity (1e-8, identical iteration counts) is enforced
+by ``tests/test_columnar_parity.py``.
 
 The result object additionally exposes the numerators ``N_{o,v}`` and
 denominators ``D_o`` of Eq. (9), which the EAI task assigner's incremental
@@ -36,16 +35,11 @@ EM (Section 4.2) reuses.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple, Union
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..data.columnar import (
-    ColumnarClaims,
-    FrontierView,
-    incremental_frontier,
-    resolve_engine,
-)
+from ..data.columnar import ColumnarClaims, FrontierView, incremental_frontier
 from ..data.model import ObjectId, SourceId, TruthDiscoveryDataset, WorkerId
 from ._structures import ObjectStructure, StructureCache
 from .base import (
@@ -88,19 +82,19 @@ class TDHResult(InferenceResult):
         self.numerators = numerators
         self.denominators = denominators
         self.structures = structures
-        #: The dataset's record-mutation counter at fit time. The columnar
-        #: EAI assigner refuses to build its likelihood tables when this no
-        #: longer matches the dataset (records added between fit and assign
-        #: would silently change the Pop2/Pop3 popularity weights).
+        #: The dataset's record-mutation counter at fit time. The EAI
+        #: assigner raises ``StaleEncodingError`` when this no longer
+        #: matches the dataset (records added between fit and assign would
+        #: silently change the slot layout or the Pop2/Pop3 weights).
         self.records_version = getattr(dataset, "_records_version", 0)
-        #: Set by the columnar engine: ``(encoding, mu, numerators,
-        #: denominators)`` as flat slot/object arrays, which the columnar EAI
-        #: assigner consumes directly (the dict views above alias ``mu`` and
-        #: ``numerators``, so the two representations cannot diverge).
+        #: Set by the fit: ``(encoding, mu, numerators, denominators)`` as
+        #: flat slot/object arrays, which the EAI assigner consumes directly
+        #: (the dict views above alias ``mu`` and ``numerators``, so the two
+        #: representations cannot diverge).
         self.columnar_state: Optional[
             Tuple[ColumnarClaims, np.ndarray, np.ndarray, np.ndarray]
         ] = None
-        #: Set by the columnar engine: ``{"g_sums": (n_claimants, 3),
+        #: Set by the fit: ``{"g_sums": (n_claimants, 3),
         #: "trust": (n_claimants, 3), "claimants": [...]}`` — the final
         #: iteration's per-claimant case responsibility sums and trust rows,
         #: keyed by claimant. The incremental fit patches these totals with
@@ -161,7 +155,7 @@ def _tdh_estep_kernel(ops, trust, mu, exact, case2, case3, pair_claimant):
     zpos = z > 0
     z_safe = np.where(zpos, z, 1.0)
     # Degenerate claims (z <= 0) fall back to the prior confidence, exactly
-    # like the reference sweep.
+    # like the per-object sweep of the dict-loop oracle.
     f = np.where(zpos[ops.pair_claim], joint / z_safe[ops.pair_claim], mu_pair)
     f_sum = np.bincount(ops.pair_slot, weights=f, minlength=ops.n_slots)
 
@@ -200,12 +194,13 @@ class TDHModel(TruthInferenceAlgorithm):
         objects outside ``OH``, leaving their case-2 channel unsupported —
         the configuration the paper warns underestimates ``phi_2``.
     use_columnar:
-        Engine selector (``True`` / ``False`` / ``"auto"``); see
-        :func:`repro.data.columnar.resolve_engine`.
+        Accepted only as ``True``. It is kept for the benchmark in
+        ``perfbench/``, which still passes it, and goes once the benchmark
+        stops passing it; any other value raises :class:`ValueError`.
     incremental, frontier_hops:
         ``incremental=True`` makes ``fit(dataset, warm_start=previous)``
         re-converge only the *dirty frontier* — the objects touched since
-        the previous (columnar) fit plus everything within ``frontier_hops``
+        the previous fit plus everything within ``frontier_hops``
         claimant links of them — holding clean objects' E-step outputs
         fixed and patching the previous round's per-claimant reductions
         with the frontier's delta. Record appends (new objects, new
@@ -231,7 +226,7 @@ class TDHModel(TruthInferenceAlgorithm):
         use_hierarchy: bool = True,
         use_popularity: bool = True,
         collapse_flat_objects: bool = True,
-        use_columnar: Union[bool, str] = "auto",
+        use_columnar: bool = True,
         incremental: bool = False,
         frontier_hops: int = 1,
     ) -> None:
@@ -247,7 +242,11 @@ class TDHModel(TruthInferenceAlgorithm):
         self.use_hierarchy = use_hierarchy
         self.use_popularity = use_popularity
         self.collapse_flat_objects = collapse_flat_objects
-        self.use_columnar = use_columnar
+        if use_columnar is not True:
+            raise ValueError(
+                "TDHModel has one engine and use_columnar accepts only True;"
+                " the dict-loop reference is TDHOracle in tests/oracles.py"
+            )
         self.incremental = incremental
         if frontier_hops < 0:
             raise ValueError("frontier_hops must be >= 0")
@@ -283,23 +282,21 @@ class TDHModel(TruthInferenceAlgorithm):
         ``warm_start``, only the dirty frontier is re-converged.
         """
         warm_start = validate_warm_start(dataset, warm_start)
-        if resolve_engine(self.use_columnar, dataset):
-            if self.incremental and warm_start is not None:
-                result = self._fit_incremental(dataset, warm_start, structures)
-                if result is not None:
-                    return result
-            return self._fit_columnar(dataset, warm_start, structures)
-        return self._fit_reference(dataset, warm_start, structures)
+        if self.incremental and warm_start is not None:
+            result = self._fit_incremental(dataset, warm_start, structures)
+            if result is not None:
+                return result
+        return self._fit_columnar(dataset, warm_start, structures)
 
     # ------------------------------------------------------------------
-    # columnar engine
+    # full fit
     # ------------------------------------------------------------------
     def _pair_case_arrays(self, col: ColumnarClaims, view=None):
         """The per-pair inputs of :func:`_tdh_estep_kernel`: the case weights
         of Eq. (1)-(4) as flat arrays, plus each pair's claimant.
 
         Element ``p`` of ``exact`` / ``case2`` / ``case3`` is the
-        corresponding entry ``[u, v]`` of the reference
+        corresponding entry ``[u, v]`` of the per-object
         :class:`ObjectStructure` matrices (the source matrices for a record,
         the worker ones for an answer), where ``u`` is the pair's claimed
         value and ``v`` its hypothesised truth. The ablation flags are
@@ -495,9 +492,18 @@ class TDHModel(TruthInferenceAlgorithm):
         Per EM iteration only the frontier's E-step runs (the full fit's
         :func:`_tdh_estep_kernel` over a
         :class:`~repro.data.columnar.FrontierView`); the global per-claimant
-        case sums are patched as ``base + frontier`` where ``base`` is the
-        previous round's stored totals minus the frontier's pre-existing
-        claims re-evaluated at the warm parameters. Clean objects keep their
+        case sums are patched as ``base + frontier``. ``base`` is the
+        previous round's stored totals minus what the frontier's
+        pre-existing claims contributed to them, evaluated with the warm
+        trust rows, ``mu`` and case weights. After an answers-only window
+        the current encoding's case weights are the warm ones. Once records
+        landed, the contribution is re-evaluated on the *warm* encoding —
+        the frontier objects that existed at the warm fit — and scattered
+        to the current claimant ids: a claim that adds a candidate value
+        moves its object's ``|Vo|``, ``Go(v)`` and popularity denominators,
+        so evaluating the old claims on the current encoding would subtract
+        mass the stored totals never held, and the error would compound
+        round after round. Clean objects keep their
         previous posteriors and numerators verbatim. The freeze makes the
         result an approximation bounded by the previous fit's convergence
         tolerance — ``tests/test_incremental_em.py`` property-checks it
@@ -516,7 +522,7 @@ class TDHModel(TruthInferenceAlgorithm):
         )
         if plan is None:
             return None
-        col, frontier, ops = plan
+        col, frontier, _ops = plan
         if len(frontier) >= col.n_objects:
             # Saturated frontier: the full warm fit is both exact and no
             # more expensive than re-converging "everything incrementally".
@@ -553,14 +559,8 @@ class TDHModel(TruthInferenceAlgorithm):
         case_arrays = self._pair_case_arrays(col, fv)
 
         # Slot growth scatter-expands the stored per-slot state into the new
-        # layout with new slots at 0.0: the E-step is multiplicative in
-        # ``mu`` (``joint = like * mu_pair``), so a zero-weight new slot
-        # contributes nothing to the base subtraction below — matching the
-        # stored totals, which never saw it. The new slots are re-seeded
-        # (uniform prior) right before the EM loop. For grown objects the
-        # re-evaluated case weights shift slightly (|Vo| and popularity
-        # moved), which folds into the approximation bound already accepted
-        # for frontier-local claims.
+        # layout; the new slots (all on frontier objects) are re-seeded with
+        # the uniform prior right before the EM loop.
         mu = plan.expand_slots(state[1])
         numer_flat = plan.expand_slots(state[2])
         mu_f = mu[fv.slot_ids]
@@ -568,28 +568,40 @@ class TDHModel(TruthInferenceAlgorithm):
         # Base per-claimant case sums: the previous round's totals re-keyed
         # to the current claimant ids (append-only => every old claimant
         # still exists; new ones start at zero), minus the frontier's
-        # pre-existing claims re-evaluated at the warm parameters — the
-        # appended claims were never inside the stored totals.
+        # pre-existing claims evaluated exactly as the warm fit saw them.
+        # Appended claims were never inside the stored totals.
+        warm_col = state[0]
         n_claimants = col.n_claimants
         base_g = np.zeros((n_claimants, 3), dtype=np.float64)
         base_g[old_ids] = em["g_sums"]
-        _, g1, g2, g3 = _tdh_estep_kernel(fv, trust, mu_f, *case_arrays)
-        appended_keys = np.asarray(
-            [
-                col.object_index[obj] * n_claimants
-                + index[claimant if kind == "record" else ("worker", claimant)]
-                for kind, obj, claimant, _value in ops
-            ],
-            dtype=np.int64,
-        )
-        fv_keys = col.claim_obj[fv.claim_ids] * n_claimants + fv.claim_claimant
-        old_claims = ~np.isin(fv_keys, appended_keys)
-        for k, g in enumerate((g1, g2, g3)):
-            base_g[:, k] -= np.bincount(
-                fv.claim_claimant[old_claims],
-                weights=g[old_claims],
-                minlength=n_claimants,
+        if getattr(dataset, "_records_version", 0) == warm_start.records_version:
+            # Answers only: an answer names an existing candidate, so no old
+            # claim's case weights moved and the current arrays evaluate
+            # them as the warm fit did. Each object's appended answers are
+            # the tail of its claim block.
+            _, g1, g2, g3 = _tdh_estep_kernel(fv, trust, mu_f, *case_arrays)
+            counts = np.diff(col.claim_offsets)[fv.obj_ids]
+            first = np.concatenate(([0], np.cumsum(counts)))[fv.claim_obj]
+            warm_counts = np.diff(warm_col.claim_offsets)[fv.obj_ids]
+            old = np.arange(fv.n_claims) - first < warm_counts[fv.claim_obj]
+            old_claimant = fv.claim_claimant[old]
+            g1, g2, g3 = g1[old], g2[old], g3[old]
+        else:
+            # Records landed: a claim that adds a candidate value moves its
+            # object's |Vo|, Go(v) and popularity denominators, so the old
+            # claims are re-evaluated on the warm encoding. Objects append
+            # at the tail of the object axis, so the frontier's old objects
+            # are its ids below the warm object count.
+            warm_fv = FrontierView(warm_col, frontier[frontier < warm_col.n_objects])
+            _, g1, g2, g3 = _tdh_estep_kernel(
+                warm_fv,
+                trust[old_ids],
+                state[1][warm_fv.slot_ids],
+                *self._pair_case_arrays(warm_col, warm_fv),
             )
+            old_claimant = old_ids[warm_fv.claim_claimant]
+        for k, g in enumerate((g1, g2, g3)):
+            base_g[:, k] -= np.bincount(old_claimant, weights=g, minlength=n_claimants)
 
         gamma_minus_1 = self.gamma - 1.0
         denom_obj = (
@@ -705,183 +717,3 @@ class TDHModel(TruthInferenceAlgorithm):
         result.frontier_size = len(frontier)
         result.frontier_state = plan.frontier_state
         return result
-
-    # ------------------------------------------------------------------
-    # reference engine
-    # ------------------------------------------------------------------
-    def _fit_reference(
-        self,
-        dataset: TruthDiscoveryDataset,
-        warm_start: Optional[TDHResult] = None,
-        structures: Optional[StructureCache] = None,
-    ) -> TDHResult:
-        cache = structures if structures is not None else self.make_structure_cache(dataset)
-        objects = dataset.objects
-        prior_phi = self.alpha / self.alpha.sum()
-        prior_psi = self.beta / self.beta.sum()
-
-        phi: Dict[SourceId, np.ndarray] = {}
-        for source in dataset.sources:
-            if warm_start is not None and source in warm_start.phi:
-                phi[source] = warm_start.phi[source].copy()
-            else:
-                phi[source] = prior_phi.copy()
-        psi: Dict[WorkerId, np.ndarray] = {}
-        for worker in dataset.workers:
-            if warm_start is not None and worker in warm_start.psi:
-                psi[worker] = warm_start.psi[worker].copy()
-            else:
-                psi[worker] = prior_psi.copy()
-
-        mu: Dict[ObjectId, np.ndarray] = {}
-        for obj in objects:
-            structure = cache.get(obj)
-            counts = structure.counts.copy()
-            for value in dataset.answers_for(obj).values():
-                counts[structure.index[value]] += 1.0
-            total = counts.sum()
-            mu[obj] = (
-                counts / total
-                if total > 0
-                else np.full(structure.size, 1.0 / structure.size)
-            )
-
-        numerators: Dict[ObjectId, np.ndarray] = {}
-        denominators: Dict[ObjectId, float] = {}
-        iterations = 0
-        converged = False
-
-        records_by_object = {obj: dataset.records_for(obj) for obj in objects}
-        answers_by_object = {obj: dataset.answers_for(obj) for obj in objects}
-
-        for iterations in range(1, self.max_iter + 1):
-            new_mu, numerators, denominators, g_source, g_worker = self._em_sweep(
-                objects, records_by_object, answers_by_object, cache, mu, phi, psi
-            )
-            # M-step for trustworthiness (Eq. 10-11).
-            phi = self._update_trust(g_source, self.alpha, prior_phi)
-            psi = self._update_trust(g_worker, self.beta, prior_psi)
-
-            delta = max(
-                (float(np.max(np.abs(new_mu[obj] - mu[obj]))) for obj in objects),
-                default=0.0,
-            )
-            mu = new_mu
-            if delta < self.tol:
-                converged = True
-                break
-
-        return TDHResult(
-            dataset=dataset,
-            confidences=mu,
-            phi=phi,
-            psi=psi,
-            numerators=numerators,
-            denominators=denominators,
-            structures=cache,
-            iterations=iterations,
-            converged=converged,
-        )
-
-    # ------------------------------------------------------------------
-    def _em_sweep(
-        self,
-        objects,
-        records_by_object,
-        answers_by_object,
-        cache: StructureCache,
-        mu: Dict[ObjectId, np.ndarray],
-        phi: Dict[SourceId, np.ndarray],
-        psi: Dict[WorkerId, np.ndarray],
-    ):
-        """One fused E-step + confidence M-step over all claims.
-
-        Returns the new confidences, their numerators/denominators (Eq. 9) and
-        the per-source / per-worker case-responsibility sums feeding Eq. (10)
-        and (11).
-        """
-        gamma_minus_1 = self.gamma - 1.0
-        new_mu: Dict[ObjectId, np.ndarray] = {}
-        numerators: Dict[ObjectId, np.ndarray] = {}
-        denominators: Dict[ObjectId, float] = {}
-        g_source: Dict[SourceId, np.ndarray] = {}
-        g_worker: Dict[WorkerId, np.ndarray] = {}
-
-        for obj in objects:
-            structure = cache.get(obj)
-            mu_o = mu[obj]
-            n = structure.size
-            f_sum = np.zeros(n)
-            claims = records_by_object[obj]
-            answers = answers_by_object[obj]
-
-            for source, value in claims.items():
-                u = structure.index[value]
-                likelihood = structure.source_likelihood_row(u, phi[source])
-                joint = likelihood * mu_o
-                z = joint.sum()
-                if z <= 0:
-                    # Degenerate likelihood (e.g. zero-mass claim); fall back
-                    # to the prior confidence so EM keeps moving.
-                    f = mu_o.copy()
-                    g = np.array([1.0 / 3, 1.0 / 3, 1.0 / 3])
-                else:
-                    f = joint / z
-                    g1 = phi[source][0] * mu_o[u] / z
-                    g2 = phi[source][1] * float(
-                        structure.source_case2[u] @ mu_o
-                    ) / z
-                    g = np.array([g1, g2, max(0.0, 1.0 - g1 - g2)])
-                f_sum += f
-                g_source.setdefault(source, np.zeros(3))
-                g_source[source] += g
-
-            for worker, value in answers.items():
-                u = structure.index[value]
-                likelihood = structure.worker_likelihood_row(u, psi[worker])
-                joint = likelihood * mu_o
-                z = joint.sum()
-                if z <= 0:
-                    f = mu_o.copy()
-                    g = np.array([1.0 / 3, 1.0 / 3, 1.0 / 3])
-                else:
-                    f = joint / z
-                    g1 = psi[worker][0] * mu_o[u] / z
-                    g2 = psi[worker][1] * float(
-                        structure.worker_case2[u] @ mu_o
-                    ) / z
-                    g = np.array([g1, g2, max(0.0, 1.0 - g1 - g2)])
-                f_sum += f
-                g_worker.setdefault(worker, np.zeros(3))
-                g_worker[worker] += g
-
-            numerator = f_sum + gamma_minus_1
-            denominator = len(claims) + len(answers) + n * gamma_minus_1
-            numerators[obj] = numerator
-            denominators[obj] = denominator
-            new_mu[obj] = numerator / denominator if denominator > 0 else (
-                np.full(n, 1.0 / n)
-            )
-
-        return new_mu, numerators, denominators, g_source, g_worker
-
-    @staticmethod
-    def _update_trust(
-        g_sums: Dict,
-        prior: np.ndarray,
-        prior_mean: np.ndarray,
-    ) -> Dict:
-        """Eq. (10)/(11): Dirichlet-MAP update of a trustworthiness triple."""
-        updated = {}
-        prior_minus_1 = prior - 1.0
-        prior_total = prior_minus_1.sum()
-        for key, sums in g_sums.items():
-            count = sums.sum()  # responsibilities per claim sum to 1 => |Os|
-            denominator = count + prior_total
-            if denominator <= 0:
-                updated[key] = prior_mean.copy()
-                continue
-            vec = (sums + prior_minus_1) / denominator
-            vec = np.clip(vec, 1e-12, None)
-            updated[key] = vec / vec.sum()
-        return updated

@@ -4,20 +4,14 @@ Selects the value with the highest claim frequency; records and worker
 answers count equally. Ties break toward the first-claimed value, which keeps
 the algorithm deterministic.
 
-Two interchangeable execution engines: the per-object dict loop (reference)
-and a columnar one-liner over the dataset's flat claim table (one
-``np.bincount`` plus a segment normalize). ``use_columnar="auto"`` picks the
-columnar path once the claim table is large enough to pay for the encoding.
+The vote is one ``np.bincount`` over the dataset's flat claim table plus a
+segment normalize; the per-object dict loop it replaced is the parity oracle
+in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Union
-
-import numpy as np
-
-from ..data.columnar import resolve_engine
-from ..data.model import ObjectId, TruthDiscoveryDataset
+from ..data.model import TruthDiscoveryDataset
 from .base import ColumnarInferenceResult, InferenceResult, TruthInferenceAlgorithm
 
 
@@ -27,30 +21,7 @@ class Vote(TruthInferenceAlgorithm):
     name = "VOTE"
     supports_workers = True
 
-    def __init__(self, use_columnar: Union[bool, str] = "auto") -> None:
-        self.use_columnar = use_columnar
-
     def fit(self, dataset: TruthDiscoveryDataset) -> InferenceResult:
-        if resolve_engine(self.use_columnar, dataset):
-            return self._fit_columnar(dataset)
-        return self._fit_reference(dataset)
-
-    def _fit_columnar(self, dataset: TruthDiscoveryDataset) -> InferenceResult:
         col = dataset.columnar()
         flat = col.segment_normalize(col.vote_counts())
         return ColumnarInferenceResult(dataset, col, flat, iterations=1, converged=True)
-
-    def _fit_reference(self, dataset: TruthDiscoveryDataset) -> InferenceResult:
-        confidences: Dict[ObjectId, np.ndarray] = {}
-        for obj in dataset.objects:
-            ctx = dataset.context(obj)
-            counts = np.zeros(ctx.size, dtype=float)
-            for value in dataset.records_for(obj).values():
-                counts[ctx.index[value]] += 1.0
-            for value in dataset.answers_for(obj).values():
-                counts[ctx.index[value]] += 1.0
-            total = counts.sum()
-            confidences[obj] = (
-                counts / total if total > 0 else np.full(ctx.size, 1.0 / ctx.size)
-            )
-        return InferenceResult(dataset, confidences, iterations=1, converged=True)

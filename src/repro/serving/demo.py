@@ -111,7 +111,7 @@ async def _run(args: argparse.Namespace) -> int:
     dataset = make_heritages(
         size=args.objects, n_sources=max(8, 2 * args.objects), seed=args.seed
     )
-    model = TDHModel(use_columnar=True, incremental=True, max_iter=args.max_iter)
+    model = TDHModel(incremental=True, max_iter=args.max_iter)
     rng = np.random.default_rng(args.seed)
     objects: List = list(dataset.objects)
     read_latency = LatencyRecorder()
@@ -295,7 +295,7 @@ async def _run(args: argparse.Namespace) -> int:
         # epoch, same dataset stamps, same truths.
         recovered, report = await recover(
             args.journal,
-            TDHModel(use_columnar=True, incremental=True, max_iter=args.max_iter),
+            TDHModel(incremental=True, max_iter=args.max_iter),
             run_worker=False,
             fsync=args.fsync,
         )

@@ -127,7 +127,7 @@ class TruthService:
         appends onto it, it does not bootstrap an empty corpus).
     model:
         Any truth-inference algorithm. Defaults to
-        ``TDHModel(use_columnar=True, incremental=True)`` — the dirty-frontier
+        ``TDHModel(incremental=True)`` — the dirty-frontier
         configuration, so steady-state answer traffic costs O(frontier) per
         batch. Models whose ``fit`` accepts ``warm_start`` are warm-started
         from the latest publish; others are simply refitted.
@@ -181,9 +181,7 @@ class TruthService:
         if max_pending < 1:
             raise ValueError("max_pending must be >= 1")
         self._dataset = dataset
-        self._model = model if model is not None else TDHModel(
-            use_columnar=True, incremental=True
-        )
+        self._model = model if model is not None else TDHModel(incremental=True)
         self._accepts_warm_start = (
             "warm_start" in inspect.signature(self._model.fit).parameters
         )

@@ -128,8 +128,10 @@ class TestAlgorithm1:
         assert len(all_tasks) == len(set(all_tasks))
 
     def test_skips_already_answered(self, fitted, assigner):
-        dataset, result = fitted
-        dataset = dataset.copy()
+        # Fit the copy itself: the assigner refuses a result fitted on
+        # another dataset object.
+        dataset = fitted[0].copy()
+        result = TDHModel(max_iter=25, tol=1e-4).fit(dataset)
         workers = ["w0"]
         first = assigner.assign(dataset, result, workers, 2)
         for obj in first["w0"]:
@@ -158,14 +160,14 @@ class TestAlgorithm1:
         assert pruned.eai_evaluations < brute.eai_evaluations
 
     def test_pruning_reduces_computed_pairs(self):
-        """On the columnar engine the walk reads EAI values off per-worker
-        tables filled in blocks along the UEAI order; pruning must still
+        """The walk reads EAI values off per-worker tables filled in
+        blocks along the UEAI order; pruning must still
         cut the pairs the kernel computes, without changing the outcome."""
         dataset = make_birthplaces(size=1200, seed=7)
-        result = TDHModel(max_iter=15, tol=1e-4, use_columnar=True).fit(dataset)
+        result = TDHModel(max_iter=15, tol=1e-4).fit(dataset)
         workers = [w.worker_id for w in make_worker_pool(10, seed=3)]
-        pruned = EAIAssigner(use_pruning=True, use_columnar=True)
-        brute = EAIAssigner(use_pruning=False, use_columnar=True)
+        pruned = EAIAssigner(use_pruning=True)
+        brute = EAIAssigner(use_pruning=False)
         assert pruned.assign(dataset, result, workers, 5) == brute.assign(
             dataset, result, workers, 5
         )

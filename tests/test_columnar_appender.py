@@ -17,6 +17,8 @@ import gc
 import numpy as np
 import pytest
 
+from oracles import EAIOracle, TDHOracle
+
 from repro.assignment import EAIAssigner
 from repro.crowd.simulator import CrowdSimulator
 from repro.crowd.workers import make_worker_pool
@@ -311,8 +313,8 @@ def test_copy_carries_fresh_encoding_forward():
     # CrowdSimulator copies its input — the carried encoding reaches it too
     sim = CrowdSimulator(
         ds,
-        TDHModel(max_iter=5, use_columnar=True),
-        EAIAssigner(use_columnar=True),
+        TDHModel(max_iter=5),
+        EAIAssigner(),
         make_worker_pool(3, seed=1),
         seed=0,
     )
@@ -359,12 +361,12 @@ def test_clone_divergence_never_corrupts_the_parent():
 
 
 # ---------------------------------------------------------------------------
-# end-to-end crowd-loop engine regression (pinned seeds)
+# end-to-end crowd-loop regression against the dict-loop oracles (pinned seeds)
 # ---------------------------------------------------------------------------
-def _run_crowd(engine: str):
+def _run_crowd(model_cls, assigner_cls):
     dataset = make_birthplaces(size=300, seed=7)
-    model = TDHModel(max_iter=20, tol=1e-4, use_columnar=engine)
-    assigner = EAIAssigner(use_columnar=engine)
+    model = model_cls(max_iter=20, tol=1e-4)
+    assigner = assigner_cls()
     panel = make_worker_pool(6, pi_p=0.75, seed=3)
     simulator = CrowdSimulator(
         dataset, model, assigner, panel, rng=np.random.default_rng(11)
@@ -374,11 +376,11 @@ def _run_crowd(engine: str):
 
 
 def test_crowd_loop_engines_agree_exactly():
-    """N simulator rounds under the columnar engine reproduce the reference
-    engine's assignment sequences, per-round metrics and final truths
-    exactly (pinned ``numpy.random.Generator`` seed)."""
-    sim_col, hist_col = _run_crowd("columnar")
-    sim_ref, hist_ref = _run_crowd("reference")
+    """N simulator rounds of TDHModel + EAIAssigner reproduce the dict-loop
+    oracles' (TDHOracle + EAIOracle) assignment sequences, per-round metrics
+    and final truths exactly (pinned ``numpy.random.Generator`` seed)."""
+    sim_col, hist_col = _run_crowd(TDHModel, EAIAssigner)
+    sim_ref, hist_ref = _run_crowd(TDHOracle, EAIOracle)
     assert sim_col.assignment_log == sim_ref.assignment_log
     assert sim_col._previous_result.truths() == sim_ref._previous_result.truths()
     for metric in ("accuracy", "gen_accuracy", "avg_distance"):
@@ -480,7 +482,7 @@ def test_version_stable_encoding_reuses_cached_expansion(monkeypatch):
     counter = _count_pair_builds(monkeypatch)
     assert ds.columnar() is col
     assert ds.columnar().pairs is first  # same encoding -> same expansion
-    model = TDHModel(max_iter=3, use_columnar=True)
+    model = TDHModel(max_iter=3)
     model.fit(ds)
     model.fit(ds)  # back-to-back fits, no mutation
     assert ds.columnar().pairs is first

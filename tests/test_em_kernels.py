@@ -100,8 +100,8 @@ def test_kernel_on_encoding_equals_full_frontier(kernel, dataset):
 @pytest.mark.parametrize(
     "make_model",
     [
-        lambda: TDHModel(max_iter=10, use_columnar=True, incremental=True),
-        lambda: DawidSkene(max_iter=10, use_columnar=True),
+        lambda: TDHModel(max_iter=10, incremental=True),
+        lambda: DawidSkene(max_iter=10),
     ],
     ids=["TDH-warm", "DS-full"],
 )

@@ -44,6 +44,12 @@ class TestExperimentsCli:
         with pytest.raises(SystemExit):
             main(["nonexistent"])
 
+    def test_engine_option_rejected(self):
+        # One engine per algorithm: --engine is an argparse error.
+        with pytest.raises(SystemExit) as exc:
+            main(["fig1", "--engine", "reference"])
+        assert exc.value.code == 2
+
     def test_fig5_prints_reliability_comparison(self, capsys):
         assert main(["fig5"]) == 0
         out = capsys.readouterr().out

@@ -39,6 +39,8 @@ from repro.data.columnar import (
 )
 from repro.data.model import Answer, Record, TruthDiscoveryDataset
 from repro.datasets import make_birthplaces, make_heritages
+from repro.datasets.geography import make_geography, sample_truths
+from repro.datasets.synthetic import _claim_value, _wrong_pool
 from repro.eval.metrics import evaluate
 from repro.hierarchy.tree import Hierarchy
 from repro.inference import DawidSkene, Lfc, TDHModel, ZenCrowd
@@ -321,7 +323,7 @@ def test_frontier_state_reuse_across_overlapping_deltas():
     long as the new dirty objects and their claimants are contained in it
     (a stored superset frontier is always sound)."""
     ds = _sparse_heritages()
-    model = DawidSkene(max_iter=20, use_columnar=True, incremental=True)
+    model = DawidSkene(max_iter=20, incremental=True)
     warm = model.fit(ds)
     obj, obj2 = ds.objects[0], ds.objects[1]
     ds.add_answer(Answer(obj, "w0", ds.candidates(obj)[0]))
@@ -423,7 +425,7 @@ def test_warm_start_from_a_clone_degrades_to_cold_with_warning():
     # pinned here because logs and external tooling grep on the shared
     # ``WARM_START_DEGRADED_PREFIX``.
     ds = _sparse_heritages()
-    model = DawidSkene(max_iter=20, use_columnar=True, incremental=True)
+    model = DawidSkene(max_iter=20, incremental=True)
     warm = model.fit(ds)
     clone = ds.copy()
     expected = warm_start_degradation_message(
@@ -438,7 +440,7 @@ def test_warm_start_from_a_clone_degrades_to_cold_with_warning():
         getattr(w.message, "reason", None) == "clone" for w in caught.list
     )
     assert result.frontier_size is None  # cold path, not the frontier fit
-    cold = DawidSkene(max_iter=20, use_columnar=True).fit(ds.copy())
+    cold = DawidSkene(max_iter=20).fit(ds.copy())
     assert _max_confidence_diff(result, cold, ds.objects) == 0.0
 
 
@@ -449,7 +451,7 @@ def test_warm_start_record_append_is_accepted_and_served_incrementally():
     frontier fit scatter-expands the warm per-slot state into the grown
     layout — no degradation warning, incremental service."""
     ds = _sparse_heritages()
-    model = TDHModel(max_iter=15, use_columnar=True, incremental=True)
+    model = TDHModel(max_iter=15, incremental=True)
     warm = model.fit(ds)
     obj = ds.objects[0]
     _grow_candidate_set(ds, obj, "brand-new-source")
@@ -465,7 +467,7 @@ def test_warm_start_after_record_overwrite_degrades_to_cold_with_warning():
     an in-place overwrite (or a window trimmed past the fit), which may have
     changed candidate sets in place."""
     ds = _sparse_heritages()
-    model = TDHModel(max_iter=15, use_columnar=True, incremental=True)
+    model = TDHModel(max_iter=15, incremental=True)
     warm = model.fit(ds)
     fitted_at = warm.records_version
     obj = next(o for o in ds.objects if len(ds.candidates(o)) >= 2)
@@ -492,7 +494,7 @@ def test_warm_start_after_record_overwrite_degrades_to_cold_with_warning():
 def test_unnamed_dataset_degradation_message_labels_it_unnamed():
     ds = _sparse_heritages()
     ds.name = ""
-    model = TDHModel(max_iter=5, use_columnar=True, incremental=True)
+    model = TDHModel(max_iter=5, incremental=True)
     warm = model.fit(ds)
     with pytest.warns(
         RuntimeWarning,
@@ -505,7 +507,7 @@ def test_unnamed_dataset_degradation_message_labels_it_unnamed():
 # incremental-vs-cold parity (the tentpole's correctness contract)
 # ---------------------------------------------------------------------------
 def _parity_models():
-    kw = dict(max_iter=60, tol=1e-7, use_columnar=True)
+    kw = dict(max_iter=60, tol=1e-7)
     return {
         # (model factory, truths must match, confidence tolerance); the
         # confidence bars bound the stored-state approximation drift over
@@ -618,6 +620,72 @@ def test_incremental_tracks_cold_with_slot_growth(name, seed):
     assert served_incrementally > 0  # the frontier path actually ran
 
 
+def _sparse_substrate(seed):
+    """5,000 objects with 5 uniform claims each from 15,000 sources, so
+    claimant degree stays ~O(1) and frontiers stay small — the serving
+    substrate of ``perfbench/inputs.py:sparse_substrate``, rebuilt here."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    hierarchy = make_geography(
+        height=5, branching=(4, 6, 5, 4, 2), rng=rng, max_nodes=3000
+    )
+    truths = sample_truths(hierarchy, 5000, rng, min_depth=2)
+    objects = [f"entity_{i}" for i in range(5000)]
+    pool = _wrong_pool(hierarchy, rng)
+    records = []
+    for obj, truth in zip(objects, truths):
+        misinformation = pool[int(rng.integers(len(pool)))]
+        for idx in rng.choice(15000, size=5, replace=False):
+            value = _claim_value(
+                truth, hierarchy, (0.7, 0.2, 0.1), misinformation, pool, rng
+            )
+            records.append(Record(obj, f"src_{idx}", value))
+    return TruthDiscoveryDataset(
+        hierarchy, records, gold=dict(zip(objects, truths)), name="sparse5k"
+    )
+
+
+def test_tdh_incremental_tracks_cold_when_claims_add_candidate_values():
+    """80 batches of 64 writes, every 16th a claim adding a candidate value
+    to an existing object, each batch one incremental fit as the service
+    runs it. A grown object's ``|Vo|``, ``Go(v)`` and popularity
+    denominators move, so the fit must subtract the frontier's old claims
+    as the warm encoding evaluated them; re-evaluating them on the grown
+    encoding left 10 of 5,000 objects apart from a cold fit on this seed,
+    past the 0.999 agreement bar (5 objects) the serving benchmark gates."""
+    seed = 4
+    rng = np.random.default_rng(seed)
+    dataset = _sparse_substrate(seed)
+    objects = list(dataset.objects)
+    nodes = list(dataset.hierarchy.non_root_nodes())
+    model = TDHModel(incremental=True)
+    result = model.fit(dataset)
+    for n in range(80 * 64):
+        obj = objects[rng.integers(len(objects))]
+        if n % 16 == 15:  # a new source names a value new to the object
+            value = next(
+                nodes[i]
+                for i in rng.permutation(len(nodes))
+                if nodes[i] not in dataset.candidates(obj)
+            )
+            dataset.add_record(Record(obj, f"new_src_{n}", value))
+        else:  # an answer from a new worker: the gold truth w.p. 0.7
+            candidates = sorted(dataset.candidates(obj), key=str)
+            gold = dataset.gold[obj]
+            value = (
+                gold
+                if gold in candidates and rng.random() < 0.7
+                else candidates[rng.integers(len(candidates))]
+            )
+            dataset.add_answer(Answer(obj, f"w_{n}", value))
+        if n % 64 == 63:
+            result = model.fit(dataset, warm_start=result)
+            assert result.frontier_size is not None  # served incrementally
+    cold = TDHModel().fit(dataset.copy()).truths()
+    served = result.truths()
+    stale = [o for o, truth in cold.items() if served[o] != truth]
+    assert len(stale) <= 5, stale
+
+
 @pytest.mark.parametrize("seed", [0, 1])
 def test_zencrowd_incremental_accuracy_parity(seed):
     """ZenCrowd's Zipf-tail reliabilities are legitimately unstable under
@@ -625,12 +693,12 @@ def test_zencrowd_incremental_accuracy_parity(seed):
     so the parity bar is accuracy-level, not per-confidence."""
     base = _sparse_heritages()
     ds, mirror = base.copy(), base.copy()
-    model = ZenCrowd(max_iter=60, tol=1e-7, use_columnar=True, incremental=True)
+    model = ZenCrowd(max_iter=60, tol=1e-7, incremental=True)
     warm = model.fit(ds)
     _add_random_answers(ds, 30, seed=seed)
     _add_random_answers(mirror, 30, seed=seed)
     inc = model.fit(ds, warm_start=warm)
-    cold = ZenCrowd(max_iter=60, tol=1e-7, use_columnar=True).fit(mirror)
+    cold = ZenCrowd(max_iter=60, tol=1e-7).fit(mirror)
     assert inc.frontier_size is not None
     t_inc, t_cold = inc.truths(), cold.truths()
     agreement = sum(t_inc[o] == t_cold[o] for o in ds.objects) / len(ds.objects)
@@ -643,10 +711,10 @@ def test_zencrowd_incremental_accuracy_parity(seed):
 @pytest.mark.parametrize(
     "factory",
     [
-        lambda inc: TDHModel(max_iter=25, use_columnar=True, incremental=inc),
-        lambda inc: DawidSkene(max_iter=25, use_columnar=True, incremental=inc),
-        lambda inc: ZenCrowd(max_iter=25, use_columnar=True, incremental=inc),
-        lambda inc: Lfc(max_iter=25, use_columnar=True, incremental=inc),
+        lambda inc: TDHModel(max_iter=25, incremental=inc),
+        lambda inc: DawidSkene(max_iter=25, incremental=inc),
+        lambda inc: ZenCrowd(max_iter=25, incremental=inc),
+        lambda inc: Lfc(max_iter=25, incremental=inc),
     ],
     ids=["TDH", "DS", "ZENCROWD", "LFC"],
 )
@@ -692,7 +760,7 @@ def test_saturated_frontier_is_bitwise_exact(factory, grow):
 
 def test_tdh_incremental_reuses_and_patches_em_state():
     ds = _sparse_heritages()
-    model = TDHModel(max_iter=40, tol=1e-6, use_columnar=True, incremental=True)
+    model = TDHModel(max_iter=40, tol=1e-6, incremental=True)
     warm = model.fit(ds)
     assert warm.em_state is not None and warm.columnar_state is not None
     _add_random_answers(ds, 15, seed=9)
@@ -701,7 +769,7 @@ def test_tdh_incremental_reuses_and_patches_em_state():
     assert inc.em_state is not None  # chained rounds keep warm-starting
     assert inc.columnar_state is not None
     # the patched per-claimant case sums stay close to a cold fit's
-    cold = TDHModel(max_iter=40, tol=1e-6, use_columnar=True).fit(ds)
+    cold = TDHModel(max_iter=40, tol=1e-6).fit(ds)
     g_inc = dict(zip(inc.em_state["claimants"], np.asarray(inc.em_state["g_sums"])))
     g_cold = dict(
         zip(cold.em_state["claimants"], np.asarray(cold.em_state["g_sums"]))
@@ -713,10 +781,10 @@ def test_tdh_incremental_reuses_and_patches_em_state():
 
 def test_incremental_without_warm_or_disabled_is_cold():
     ds = _sparse_heritages()
-    model = TDHModel(max_iter=15, use_columnar=True, incremental=True)
+    model = TDHModel(max_iter=15, incremental=True)
     result = model.fit(ds)  # no warm_start: plain cold fit
     assert result.frontier_size is None
-    off = TDHModel(max_iter=15, use_columnar=True)
+    off = TDHModel(max_iter=15)
     warm = off.fit(ds)
     _add_random_answers(ds, 5, seed=1)
     result = off.fit(ds, warm_start=warm)  # knob off: warm but full EM
@@ -728,7 +796,7 @@ def test_frontier_hops_knob_validates_and_widens():
         TDHModel(frontier_hops=-1)
     ds = _sparse_heritages()
     model0 = TDHModel(
-        max_iter=20, use_columnar=True, incremental=True, frontier_hops=0
+        max_iter=20, incremental=True, frontier_hops=0
     )
     warm = model0.fit(ds)
     _add_random_answers(ds, 8, seed=2)
@@ -743,8 +811,8 @@ def test_frontier_hops_knob_validates_and_widens():
 @pytest.mark.parametrize(
     "factory",
     [
-        lambda: TDHModel(max_iter=20, use_columnar=True, incremental=True),
-        lambda: DawidSkene(max_iter=20, use_columnar=True, incremental=True),
+        lambda: TDHModel(max_iter=20, incremental=True),
+        lambda: DawidSkene(max_iter=20, incremental=True),
     ],
     ids=["TDH", "DS"],
 )
@@ -767,6 +835,6 @@ def test_cli_exposes_the_incremental_knob():
 
     args = build_parser().parse_args(["fig6", "--incremental"])
     assert args.incremental is True
-    factories = inference_factories(FAST, engine="columnar", incremental=True)
+    factories = inference_factories(FAST, incremental=True)
     for name in ("TDH", "LFC"):
         assert factories[name]().incremental is True

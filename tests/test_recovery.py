@@ -58,11 +58,11 @@ def _small():
 
 
 def _model():
-    return TDHModel(max_iter=60, tol=1e-7, use_columnar=True, incremental=True)
+    return TDHModel(max_iter=60, tol=1e-7, incremental=True)
 
 
 def _cold():
-    return TDHModel(max_iter=60, tol=1e-7, use_columnar=True)
+    return TDHModel(max_iter=60, tol=1e-7)
 
 
 def _seeded_writes(dataset, n, seed, n_workers=5, p_truth=0.7):

@@ -46,7 +46,7 @@ def _sparse_heritages():
 
 def _model():
     # Mirrors the incremental parity suite's settings (tests/test_incremental_em.py).
-    return TDHModel(max_iter=60, tol=1e-7, use_columnar=True, incremental=True)
+    return TDHModel(max_iter=60, tol=1e-7, incremental=True)
 
 
 def _seeded_writes(dataset, n, seed, n_workers=5, p_truth=0.7):
@@ -86,7 +86,7 @@ def test_start_publishes_epoch_zero_cold_fit_bitwise():
     assert snap.epoch == 0 and not snap.incremental
     assert snap.dataset_version == base.version
     assert snap.records_version == base.records_version
-    cold = TDHModel(max_iter=60, tol=1e-7, use_columnar=True).fit(
+    cold = TDHModel(max_iter=60, tol=1e-7).fit(
         _sparse_heritages()
     )
     assert snap.truths == cold.truths()
@@ -135,7 +135,7 @@ def test_read_your_writes_eventually_matches_cold_fit():
     assert service.metrics.fits_incremental > 0  # the frontier path served
     reads = service.get_truths()
     assert {o: r.value for o, r in reads.items()} == TDHModel(
-        max_iter=60, tol=1e-7, use_columnar=True
+        max_iter=60, tol=1e-7
     ).fit(mirror).truths()
     assert all(r.lag_writes == 0 and r.epoch == 3 for r in reads.values())
 
@@ -169,7 +169,7 @@ def test_record_append_serves_incrementally_with_zero_degradations():
     assert service.metrics.warm_start_degradation_reasons == {}
     assert service.metrics.fits_cold == 1  # epoch 0 only
     assert service.metrics.fits_incremental == 1
-    cold = TDHModel(max_iter=60, tol=1e-7, use_columnar=True).fit(mirror)
+    cold = TDHModel(max_iter=60, tol=1e-7).fit(mirror)
     assert snapshot.truths == cold.truths()
     assert snapshot.records_version == base.records_version
 
@@ -233,7 +233,7 @@ def test_mixed_traffic_stays_incremental_and_matches_cold_mirror():
     assert service.metrics.warm_start_degradations == 0
     assert service.metrics.snapshot()["warm_start_degradation_reasons"] == {}
     reads = service.get_truths()
-    truths = TDHModel(max_iter=60, tol=1e-7, use_columnar=True).fit(mirror).truths()
+    truths = TDHModel(max_iter=60, tol=1e-7).fit(mirror).truths()
     assert {o: r.value for o, r in reads.items()} == dict(truths)
 
 
@@ -283,7 +283,7 @@ def test_concurrent_readers_observe_monotone_untorn_snapshots():
     # Batch boundaries are timing-dependent here, so the incremental chain
     # differs run to run; the truth-tracking property (asserted exactly in
     # the pinned test above) holds within the property-suite tolerance.
-    cold = TDHModel(max_iter=60, tol=1e-7, use_columnar=True).fit(mirror)
+    cold = TDHModel(max_iter=60, tol=1e-7).fit(mirror)
     agreement = np.mean(
         [final[o].value == t for o, t in cold.truths().items()]
     )

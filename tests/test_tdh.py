@@ -22,6 +22,11 @@ class TestConstruction:
         with pytest.raises(ValueError):
             TDHModel(gamma=0.5)
 
+    def test_use_columnar_accepts_only_true(self):
+        TDHModel(use_columnar=True)
+        with pytest.raises(ValueError, match="tests/oracles.py"):
+            TDHModel(use_columnar=False)
+
 
 class TestFitBasics:
     def test_confidences_are_distributions(self, table1_dataset):
