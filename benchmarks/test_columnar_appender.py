@@ -122,10 +122,9 @@ def appender_report(merge_bench_artifact):
 def pair_splice_report(appender_report, merge_bench_artifact):
     """Splice vs cold re-factorization of the pair expansion after a round.
 
-    A first round introduces the worker panel (new claimants renumber the
-    decode table, which the splice refuses); the timed second round is the
-    steady-state crowdsourcing shape — answers from known workers — where
-    the expansion is spliced. The measured cold build is exactly the
+    A first round introduces the worker panel (new claimants); the timed
+    second round is the steady-state crowdsourcing shape — answers from
+    known workers — where the expansion is spliced. The measured cold build is exactly the
     ``PairExpansion(col)`` every post-append fit paid before the splice.
     """
     from repro.data.columnar import PairExpansion

@@ -9,7 +9,8 @@ long before the datasets reach the paper's Fig-12/Fig-13 scales.
 :class:`ColumnarClaims` integer-encodes the whole dataset once:
 
 * **objects** ``o`` -> ``oid`` (dense, in first-seen order);
-* **claimants** (sources and ``("worker", w)`` pairs) -> ``cid``;
+* **claimants** (sources and ``("worker", w)`` pairs) -> ``cid``, the id
+  the dataset assigned at the claimant's first claim and never moves;
 * **candidate values**: each object's ``Vo`` occupies a contiguous run of
   global *slots*; ``value_offsets[oid]:value_offsets[oid+1]`` is the CSR
   slice of object ``oid``, so any per-candidate quantity lives in one flat
@@ -124,27 +125,17 @@ class ClaimantObjectsIndex:
         n_objects: int,
         delta_cids: np.ndarray,
         delta_oids: np.ndarray,
-        claimant_remap: Optional[np.ndarray] = None,
     ) -> "ClaimantObjectsIndex":
         """The index of the extended encoding, array-equal to a cold
-        :meth:`build`: existing groups are relocated with O(claims) C-level
-        copies (appended claimants become empty tail groups first, then the
-        renumbering permutes whole groups), and the delta entries are merged
-        into their groups at the sorted position via one ``np.insert``.
+        :meth:`build`: claimant ids never move, so existing groups keep
+        their order, appended claimants become empty tail groups, and the
+        delta entries are merged into their groups at the sorted position
+        via one ``np.insert``.
         """
         counts = np.diff(old.offsets)
-        n_old_groups = len(counts)
-        pad = n_claimants - n_old_groups
+        pad = n_claimants - len(counts)
         counts_full = np.concatenate([counts, np.zeros(pad, dtype=np.int64)])
         objects = old.objects
-        if claimant_remap is not None:
-            starts_full = np.concatenate(
-                [old.offsets[:-1], np.full(pad, old.offsets[-1], dtype=np.int64)]
-            )
-            inv = np.empty_like(claimant_remap)
-            inv[claimant_remap] = np.arange(len(claimant_remap), dtype=np.int64)
-            counts_full = counts_full[inv]
-            objects = objects[csr_expand(starts_full[inv], counts_full)]
         # Within-group ascending order makes (claimant, object) keys globally
         # sorted, so every delta entry's insertion point is one searchsorted.
         okey = (
@@ -222,14 +213,14 @@ class PairExpansion:
 
     Cell ids are **append-stable**, not sorted: ``cells[i]`` is the key of
     the cell that was *i-th to be factorized*, and the keys themselves use
-    each claimant's :attr:`claimant_stable` id (the id it had when first
-    factorized), so neither a claimant renumbering nor a later append ever
-    moves an existing id. Consumers only require the ids to be dense and
-    consistent — ``np.bincount`` groups and within-group accumulation order
-    are relabeling-invariant, so EM results are bitwise-identical whichever
-    of the cold or spliced id assignments is live. (On a cold build the
-    stable ids coincide with the claimant ids and the table happens to be
-    key-sorted — ``np.unique`` order.)
+    the claimant ids — which never move — and each value's
+    :attr:`value_stable` id (the id it had when first factorized), so no
+    append ever moves an existing id. Consumers only require the ids to be
+    dense and consistent — ``np.bincount`` groups and within-group
+    accumulation order are relabeling-invariant, so EM results are
+    bitwise-identical whichever of the cold or spliced id assignments is
+    live. (On a cold build the stable value ids coincide with the value ids
+    and the table happens to be key-sorted — ``np.unique`` order.)
     """
 
     def __init__(self, col: "ColumnarClaims") -> None:
@@ -258,14 +249,10 @@ class PairExpansion:
         self.n_cells = len(self.cells)
         self.n_totals = len(self.totals)
 
-        #: Current claimant id -> the id its keys were first factorized
-        #: under; identity here, composed across renumberings by `spliced`.
-        self.claimant_stable = np.arange(col.n_claimants, dtype=np.int64)
-        self.n_stable = col.n_claimants
-        #: Same construction on the value axis: current value id -> the id
-        #: its keys were first factorized under, and the key radix. A value
-        #: re-rank or a brand-new value (slot growth) composes these in
-        #: :meth:`spliced_slot_growth` so existing cell keys never move.
+        #: Current value id -> the id its keys were first factorized under,
+        #: and the key radix. A value re-rank or a brand-new value (slot
+        #: growth) composes these in :meth:`spliced_slot_growth` so
+        #: existing cell keys never move.
         self.value_stable = np.arange(len(col.values), dtype=np.int64)
         self.n_value_stable = len(col.values)
         self.value_base = n_values
@@ -280,7 +267,6 @@ class PairExpansion:
         old: "PairExpansion",
         col: "ColumnarClaims",
         inserted_claims: np.ndarray,
-        claimant_remap: Optional[np.ndarray] = None,
     ) -> "PairExpansion":
         """An expansion for ``col``, equivalent to ``PairExpansion(col)`` —
         identical pair layout, identical cell partition up to the id
@@ -295,14 +281,9 @@ class PairExpansion:
         is still valid verbatim and is relocated with O(delta) *slice*
         copies; only the appended claims' pair rows are computed, resolved
         against the sorted key lookup, with genuinely new cells appended at
-        the end of the table. No O(pairs) gather or sort anywhere.
-
-        ``claimant_remap`` covers the one id move an append *can* cause: an
-        insert pulling a claimant's first occurrence ahead re-ranks the
-        claimant table (routine in crowd rounds — a known worker answering
-        an earlier object). Keys are built from :attr:`claimant_stable`
-        ids, which this method composes with the renumbering — so a re-rank
-        costs O(claimants) and touches no key, no table and no pair.
+        the end of the table. No O(pairs) gather or sort anywhere. Claimant
+        ids never move under an append, so the keys are built from the
+        current ids.
         """
         PAIR_EXPANSION_STATS["spliced"] += 1
         new = cls.__new__(cls)
@@ -338,30 +319,8 @@ class PairExpansion:
         ins_size_vals = np.repeat(ins_sizes.astype(np.float64), ins_sizes)
         ins_claimed = ins_slot == col.claim_slot[ins_claim_of_row]
 
-        # --- stable claimant ids: extend with the appended claimants, then
-        # compose the renumbering (stable[new id] = stable the claimant
-        # already had) so every existing key — hence every existing cell id
-        # — survives the re-rank untouched.
-        n_added = col.n_claimants - len(old.claimant_stable)
-        if n_added:
-            provisional = np.concatenate(
-                [
-                    old.claimant_stable,
-                    old.n_stable + np.arange(n_added, dtype=np.int64),
-                ]
-            )
-        else:
-            provisional = old.claimant_stable
-        if claimant_remap is not None:
-            stable = np.empty_like(provisional)
-            stable[claimant_remap] = provisional
-        else:
-            stable = provisional
-        new.claimant_stable = stable
-        new.n_stable = old.n_stable + n_added
-
-        # Confusion keys for the appended pairs only, under stable ids. No
-        # slot change means no new values and no value re-rank, but a
+        # Confusion keys for the appended pairs only, under stable value ids.
+        # No slot change means no new values and no value re-rank, but a
         # *previous* growth splice may have left the keys under non-identity
         # stable value ids / a wider radix — carry both forward.
         new.value_stable = old.value_stable
@@ -370,7 +329,7 @@ class PairExpansion:
         vstable = old.value_stable
         base = old.value_base
         total_key_ins = (
-            stable[col.claim_claimant[ins_claim_of_row]] * base
+            col.claim_claimant[ins_claim_of_row] * base
             + vstable[col.slot_vid[ins_slot]]
         )
         cell_key_ins = total_key_ins * base + vstable[col.claim_vid[ins_claim_of_row]]
@@ -403,7 +362,6 @@ class PairExpansion:
         col: "ColumnarClaims",
         prev_col: "ColumnarClaims",
         inserted_claims: np.ndarray,
-        claimant_remap: Optional[np.ndarray] = None,
         value_remap: Optional[np.ndarray] = None,
     ) -> "PairExpansion":
         """The splice for extensions that *grow the slot layout* — appended
@@ -424,31 +382,18 @@ class PairExpansion:
         runs) pay key resolution against the sorted lookup.
 
         ``value_remap`` composes a value re-rank (an insert pulling a
-        value's first occurrence forward) into :attr:`value_stable`, exactly
-        as ``claimant_remap`` does for claimants. When the stable value ids
-        outgrow the key radix, the O(cells) key tables are re-encoded under
-        a wider base — order-preserving, so the sorted lookups stay sorted.
+        value's first occurrence forward) into :attr:`value_stable`.
+        Claimant ids never move, so keys use them as they are. When the
+        stable value ids outgrow the key radix, the O(cells) key tables are
+        re-encoded under a wider base — order-preserving, so the sorted
+        lookups stay sorted.
         """
         PAIR_EXPANSION_STATS["spliced_slot_growth"] += 1
         new = cls.__new__(cls)
 
-        # --- stable claimant ids, exactly as in `spliced`.
-        n_added = col.n_claimants - len(old.claimant_stable)
-        if n_added:
-            provisional = np.concatenate(
-                [old.claimant_stable, old.n_stable + np.arange(n_added, dtype=np.int64)]
-            )
-        else:
-            provisional = old.claimant_stable
-        if claimant_remap is not None:
-            stable = np.empty_like(provisional)
-            stable[claimant_remap] = provisional
-        else:
-            stable = provisional
-        new.claimant_stable = stable
-        new.n_stable = old.n_stable + n_added
-
-        # --- stable value ids: the same construction on the value axis.
+        # --- stable value ids: extend with the appended values, then compose
+        # the re-rank (stable[new id] = stable the value already had) so
+        # every existing key — hence every existing cell id — stays put.
         n_vadded = len(col.values) - len(old.value_stable)
         if n_vadded:
             vprov = np.concatenate(
@@ -522,7 +467,7 @@ class PairExpansion:
         # --- only the fresh rows pay key resolution.
         f_claim = new.pair_claim[fresh_rows]
         total_key_f = (
-            stable[col.claim_claimant[f_claim]] * base
+            col.claim_claimant[f_claim] * base
             + vstable[col.slot_vid[new.pair_slot[fresh_rows]]]
         )
         cell_key_f = total_key_f * base + vstable[col.claim_vid[f_claim]]
@@ -746,7 +691,9 @@ class ColumnarClaims(SegmentOps):
     ----------
     objects / claimants / values:
         Decoding tables: dense id -> original object id, claimant key
-        (source, or ``("worker", w)``), hierarchy value.
+        (source, or ``("worker", w)``), hierarchy value. Claimant ids are
+        the dataset's, assigned at each claimant's first claim, so a later
+        encoding's ``claimants`` extends an earlier one's.
     value_offsets:
         ``(n_objects + 1,)`` CSR offsets into the slot arrays; object ``oid``
         owns slots ``value_offsets[oid]:value_offsets[oid + 1]``, one per
@@ -780,9 +727,7 @@ class ColumnarClaims(SegmentOps):
         #: arrays) survives whole crowdsourcing rounds.
         self.records_version = getattr(dataset, "_records_version", 0)
 
-        claimant_index: Dict[ClaimantKey, int] = {}
-        claimants: List[ClaimantKey] = []
-        claimant_is_worker: List[bool] = []
+        claimant_ids = dataset._claimant_ids
         value_index: Dict[Hashable, int] = {}
         values: List[Hashable] = []
 
@@ -800,9 +745,8 @@ class ColumnarClaims(SegmentOps):
         slot_anc_slots: List[int] = []
         obj_has_hierarchy: List[bool] = []
 
-        # Ids are handed out at first encounter, so the first-occurrence
-        # positions the appender's renumbering check needs are free here.
-        claimant_first: List[int] = []
+        # Value ids are handed out at first encounter, so the first-occurrence
+        # positions the appender's re-rank check needs are free here.
         value_first: List[int] = []
 
         for oid, obj in enumerate(self.objects):
@@ -823,32 +767,18 @@ class ColumnarClaims(SegmentOps):
             # Records first, answers second — the claimant order of every
             # ``_claims_of`` helper.
             for source, value in dataset.records_for(obj).items():
-                cid = claimant_index.get(source)
-                if cid is None:
-                    cid = claimant_index[source] = len(claimants)
-                    claimants.append(source)
-                    claimant_is_worker.append(False)
-                    claimant_first.append(len(claim_obj))
                 claim_obj.append(oid)
-                claim_claimant.append(cid)
+                claim_claimant.append(claimant_ids[source])
                 claim_pos.append(ctx.index[value])
                 claim_is_answer.append(False)
             for worker, value in dataset.answers_for(obj).items():
-                key: ClaimantKey = ("worker", worker)
-                cid = claimant_index.get(key)
-                if cid is None:
-                    cid = claimant_index[key] = len(claimants)
-                    claimants.append(key)
-                    claimant_is_worker.append(True)
-                    claimant_first.append(len(claim_obj))
                 claim_obj.append(oid)
-                claim_claimant.append(cid)
+                claim_claimant.append(claimant_ids[("worker", worker)])
                 claim_pos.append(ctx.index[value])
                 claim_is_answer.append(True)
             claim_offsets.append(len(claim_obj))
 
-        self.claimants = claimants
-        self.claimant_index = claimant_index
+        self.claimants: List[ClaimantKey] = list(claimant_ids)
         self.values = values
         self.value_index = value_index
 
@@ -859,7 +789,8 @@ class ColumnarClaims(SegmentOps):
         self.claim_claimant = np.asarray(claim_claimant, dtype=np.int64)
         self.claim_pos = np.asarray(claim_pos, dtype=np.int64)
         self.claim_is_answer = np.asarray(claim_is_answer, dtype=bool)
-        self.claimant_is_worker = np.asarray(claimant_is_worker, dtype=bool)
+        self.claimant_is_worker = np.zeros(len(self.claimants), dtype=bool)
+        self.claimant_is_worker[self.claim_claimant[self.claim_is_answer]] = True
 
         self.sizes = np.diff(self.value_offsets)
         self.slot_obj = np.repeat(
@@ -876,10 +807,9 @@ class ColumnarClaims(SegmentOps):
         self._slot_pairs: Optional[SlotPairExpansion] = None
         self._hierarchy: Optional["ColumnarHierarchy"] = None
         self._claimant_objects: Optional[ClaimantObjectsIndex] = None
-        # Appender bookkeeping: first-occurrence row per claimant / first slot
-        # per value (maintained across appends so id renumbering stays
-        # O(delta + tables)); a reusable Euler tour.
-        self._claimant_first = np.asarray(claimant_first, dtype=np.int64)
+        # Appender bookkeeping: first slot per value (maintained across
+        # appends so the value re-rank stays O(delta + tables)); a reusable
+        # Euler tour.
         self._value_first = np.asarray(value_first, dtype=np.int64)
         self._tour_hint: Optional[Tuple[Dict, Dict, int]] = None
         # Version counters only order one dataset's history; this token ties
@@ -1265,12 +1195,14 @@ class ColumnarAppender:
     encoding's :attr:`~ColumnarClaims.version` against the dataset's and
     replays only the logged delta via :meth:`extend` — new claim rows are
     spliced into the CSR claim table, new candidate slots into the slot
-    arrays of the touched objects, and the claimant/value decode tables are
-    extended (renumbered to cold-rebuild first-encounter order only when an
-    insert actually reorders them). The result is **array-equal to a cold
-    rebuild** (the property suite in ``tests/test_columnar_appender.py``
-    enforces this, hierarchy CSR and Euler intervals included) at O(delta)
-    plus a few NumPy memcopies, instead of the O(claims) Python walk.
+    arrays of the touched objects, new claimants take the next ids at the
+    tail of the claimant table (the dataset numbers them at their first
+    claim), and the value decode table is extended (re-ranked to
+    cold-rebuild first-encounter order only when an insert actually
+    reorders it). The result is **array-equal to a cold rebuild** (the
+    property suite in ``tests/test_columnar_appender.py`` enforces this,
+    hierarchy CSR and Euler intervals included) at O(delta) plus a few NumPy
+    memcopies, instead of the O(claims) Python walk.
 
     Encodings are immutable snapshots: ``extend`` returns a *new*
     ``ColumnarClaims`` sharing every unchanged buffer with its predecessor,
@@ -1367,11 +1299,24 @@ class ColumnarAppender:
 
         # ---- bucket the delta per object, assigning new object ids in
         # first-record order (== dict insertion order == cold-rebuild order).
+        # Claimant ids come from the dataset's table, which numbered each
+        # claimant at its first claim: walking the ops in mutation order
+        # meets the new claimants in id order, at the tail of the table.
+        claimant_ids = dataset._claimant_ids
+        n_claimants_old = col.n_claimants
+        added_claimants: List[ClaimantKey] = []
+        added_claimant_worker: List[bool] = []
         new_objects: List = []
         added_obj_index: Dict = {}
         record_ops: Dict[int, List[Tuple]] = {}
         answer_ops: Dict[int, List[Tuple]] = {}
         for kind, obj, claimant, value in ops:
+            is_answer = kind == "answer"
+            key = ("worker", claimant) if is_answer else claimant
+            cid = claimant_ids[key]
+            if cid == n_claimants_old + len(added_claimants):
+                added_claimants.append(key)
+                added_claimant_worker.append(is_answer)
             oid = col.object_index.get(obj)
             if oid is None:
                 oid = added_obj_index.get(obj)
@@ -1385,8 +1330,8 @@ class ColumnarAppender:
                 oid = n_obj_old + len(new_objects)
                 added_obj_index[obj] = oid
                 new_objects.append(obj)
-            bucket = record_ops if kind == "record" else answer_ops
-            bucket.setdefault(oid, []).append((claimant, value))
+            bucket = answer_ops if is_answer else record_ops
+            bucket.setdefault(oid, []).append((cid, value))
 
         n_obj_new = n_obj_old + len(new_objects)
         if new_objects:
@@ -1396,22 +1341,6 @@ class ColumnarAppender:
         else:
             objects = col.objects
             object_index = col.object_index
-
-        # ---- provisional ids for unseen claimants (renumbered below).
-        added_claimants: List[ClaimantKey] = []
-        added_claimant_worker: List[bool] = []
-        added_claimant_index: Dict[ClaimantKey, int] = {}
-
-        def claimant_id(key: ClaimantKey, is_worker: bool) -> int:
-            cid = col.claimant_index.get(key)
-            if cid is None:
-                cid = added_claimant_index.get(key)
-            if cid is None:
-                cid = col.n_claimants + len(added_claimants)
-                added_claimant_index[key] = cid
-                added_claimants.append(key)
-                added_claimant_worker.append(is_worker)
-            return cid
 
         # ---- which touched objects grew their candidate set (records only;
         # answers select among existing candidates by construction).
@@ -1448,16 +1377,16 @@ class ColumnarAppender:
                 apos = int(col.claim_offsets[oid + 1])
             else:
                 rpos = apos = n_claims_old
-            for source, value in record_ops.get(oid, ()):
+            for cid, value in record_ops.get(oid, ()):
                 ins_pos.append(rpos)
                 ins_obj.append(oid)
-                ins_cid.append(claimant_id(source, False))
+                ins_cid.append(cid)
                 ins_ppos.append(ctx.index[value])
                 ins_ans.append(False)
-            for worker, value in answer_ops.get(oid, ()):
+            for cid, value in answer_ops.get(oid, ()):
                 ins_pos.append(apos)
                 ins_obj.append(oid)
-                ins_cid.append(claimant_id(("worker", worker), True))
+                ins_cid.append(cid)
                 ins_ppos.append(ctx.index[value])
                 ins_ans.append(True)
 
@@ -1482,44 +1411,15 @@ class ColumnarAppender:
             ([0], np.cumsum(np.bincount(claim_obj, minlength=n_obj_new)))
         ).astype(np.int64)
 
-        # ---- claimant table: keep cold-rebuild first-encounter order. A new
-        # row can pull its claimant's first occurrence ahead of claimants
-        # first seen later, so ids are re-ranked by first occurrence — the
-        # relabel gather only runs when an insert actually reorders them.
-        first = np.concatenate(
-            [
-                col._claimant_first
-                + np.searchsorted(ins_pos_arr, col._claimant_first, side="right"),
-                np.full(len(added_claimants), n_claims_new, dtype=np.int64),
-            ]
-        )
-        np.minimum.at(first, np.asarray(ins_cid, dtype=np.int64), final_ins)
-        claimants = col.claimants + added_claimants
-        claimant_is_worker = (
-            np.concatenate(
+        # ---- claimant table: the new claimants' ids follow the old ones.
+        if added_claimants:
+            claimants = col.claimants + added_claimants
+            claimant_is_worker = np.concatenate(
                 [col.claimant_is_worker, np.asarray(added_claimant_worker, dtype=bool)]
             )
-            if added_claimants
-            else col.claimant_is_worker
-        )
-        claimant_remap = None
-        if bool(np.all(np.diff(first) > 0)):
-            if added_claimants:
-                claimant_index = dict(col.claimant_index)
-                claimant_index.update(added_claimant_index)
-            else:
-                claimants = col.claimants
-                claimant_index = col.claimant_index
         else:
-            order = np.argsort(first, kind="stable")
-            remap = np.empty(len(order), dtype=np.int64)
-            remap[order] = np.arange(len(order), dtype=np.int64)
-            claim_claimant = remap[claim_claimant]
-            claimants = [claimants[i] for i in order]
-            claimant_is_worker = claimant_is_worker[order]
-            claimant_index = {key: i for i, key in enumerate(claimants)}
-            first = first[order]
-            claimant_remap = remap  # provisional id -> re-ranked id
+            claimants = col.claimants
+            claimant_is_worker = col.claimant_is_worker
 
         # ---- slot arrays: untouched when the delta is answers-only (the
         # crowdsourcing hot path); otherwise splice the new candidate slots
@@ -1663,7 +1563,6 @@ class ColumnarAppender:
         new.version = getattr(dataset, "_version", 0)
         new.records_version = getattr(dataset, "_records_version", 0)
         new.claimants = claimants
-        new.claimant_index = claimant_index
         new.values = values
         new.value_index = value_index
         new.value_offsets = value_offsets
@@ -1695,17 +1594,10 @@ class ColumnarAppender:
             new._pairs = None
         elif slot_changed:
             new._pairs = PairExpansion.spliced_slot_growth(
-                col._pairs,
-                new,
-                col,
-                final_ins,
-                claimant_remap=claimant_remap,
-                value_remap=value_remap,
+                col._pairs, new, col, final_ins, value_remap=value_remap
             )
         else:
-            new._pairs = PairExpansion.spliced(
-                col._pairs, new, final_ins, claimant_remap=claimant_remap
-            )
+            new._pairs = PairExpansion.spliced(col._pairs, new, final_ins)
         # The claimant -> objects CSR is slot-independent, so a built index
         # is spliced forward on every append (the frontier computation of
         # the incremental EM fits relies on this staying O(delta + tables)).
@@ -1716,13 +1608,11 @@ class ColumnarAppender:
                 n_obj_new,
                 claim_claimant[final_ins],
                 claim_obj[final_ins],
-                claimant_remap=claimant_remap,
             )
         else:
             new._claimant_objects = None
         new._slot_pairs = slot_pairs
         new._hierarchy = hierarchy
-        new._claimant_first = first
         new._value_first = vfirst
         new._tour_hint = tour_hint
         new._lineage_token = getattr(dataset, "_lineage", None)
@@ -1732,10 +1622,10 @@ class ColumnarAppender:
 class FrontierPlan:
     """The servable-delta plan returned by :func:`incremental_frontier`.
 
-    Iterates as the historical ``(col, frontier, ops)`` triple; the extra
-    fields describe how the slot layout moved between the warm fit and now,
-    so incremental fits can scatter-expand their per-slot state into the
-    grown layout instead of degrading cold.
+    Holds the current encoding, the frontier and the window's ops; the
+    remaining fields describe how the slot layout moved between the warm
+    fit and now, so incremental fits can scatter-expand their per-slot
+    state into the grown layout instead of degrading cold.
     """
 
     def __init__(
@@ -1766,11 +1656,6 @@ class FrontierPlan:
         #: round's delta and was reused without a BFS.
         self.frontier_reused = frontier_reused
         self._new_slot_mask: Optional[np.ndarray] = None
-
-    def __iter__(self):
-        yield self.col
-        yield self.frontier
-        yield self.ops
 
     @property
     def grew(self) -> bool:
@@ -1817,8 +1702,7 @@ def incremental_frontier(
     Decides whether the delta between ``prev_col`` (the encoding a previous
     fit ran on) and ``dataset``'s current state is servable incrementally,
     and if so computes the dirty-object frontier. Returns a
-    :class:`FrontierPlan` (iterable as the historical ``(col, frontier,
-    ops)`` triple) or ``None`` when the fit must run cold:
+    :class:`FrontierPlan` or ``None`` when the fit must run cold:
 
     * ``prev_col`` is missing or belongs to another dataset's lineage;
     * the op window is unservable (overwrite poisoned the log, or the
@@ -1836,12 +1720,13 @@ def incremental_frontier(
 
     ``reuse`` is a previous plan's ``frontier_state``. When this round's
     dirty objects and their claimants are contained in the stored frontier
-    and claimant union (consecutive overlapping deltas — the serving steady
-    state), the stored frontier is reused without a BFS: a superset frontier
-    is always sound, it merely re-converges extra objects, and for
-    ``hops=1`` containment of the dirty set and its claimants guarantees the
-    stored set *is* a superset of the fresh 1-hop closure. Deeper hops
-    recompute.
+    and claimant union (consecutive overlapping deltas, such as a crowd
+    round's answers from a known worker panel), the stored frontier is
+    reused without a BFS: a superset frontier is always sound, it merely
+    re-converges extra objects, and for ``hops=1`` containment of the dirty
+    set and its claimants guarantees the stored set *is* a superset of the
+    fresh 1-hop closure. Object and claimant ids never move under an
+    append, so the stored ids stay valid. Deeper hops recompute.
 
     The ops are captured **before** ``dataset.columnar()`` — that call
     curtails the log to the current version, which would empty the window.
@@ -1879,25 +1764,14 @@ def incremental_frontier(
         and reuse.get("version") == prev_col.version
         and len(dirty)
     ):
-        # Object ids are append-stable, but claimant ids can be re-ranked by
-        # an insert pulling a first occurrence forward — so the stored
-        # claimant ids are only trusted while the current claimant table is
-        # an extension of the stored one (``is`` covers the answers-only
-        # steady state, where the appender reuses the list object).
-        stored_claimants = reuse.get("claimants", ())
-        prefix_ok = stored_claimants is col.claimants or (
-            len(col.claimants) >= len(stored_claimants)
-            and col.claimants[: len(stored_claimants)] == stored_claimants
-        )
-        if prefix_ok:
-            prev_frontier = reuse["frontier"]
-            claim_counts = np.diff(col.claim_offsets)
-            rows = csr_expand(col.claim_offsets[dirty], claim_counts[dirty])
-            dirty_cids = np.unique(col.claim_claimant[rows])
-            if bool(np.all(np.isin(dirty, prev_frontier))) and bool(
-                np.all(np.isin(dirty_cids, reuse["cids"]))
-            ):
-                frontier, cids, reused = prev_frontier, reuse["cids"], True
+        prev_frontier = reuse["frontier"]
+        claim_counts = np.diff(col.claim_offsets)
+        rows = csr_expand(col.claim_offsets[dirty], claim_counts[dirty])
+        dirty_cids = np.unique(col.claim_claimant[rows])
+        if bool(np.all(np.isin(dirty, prev_frontier))) and bool(
+            np.all(np.isin(dirty_cids, reuse["cids"]))
+        ):
+            frontier, cids, reused = prev_frontier, reuse["cids"], True
     if frontier is None:
         frontier, cids = col.frontier(dirty, hops=hops, return_claimants=True)
     return FrontierPlan(
@@ -1912,7 +1786,6 @@ def incremental_frontier(
             "hops": hops,
             "frontier": frontier,
             "cids": cids,
-            "claimants": col.claimants,
         },
         frontier_reused=reused,
     )

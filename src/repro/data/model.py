@@ -114,6 +114,12 @@ class TruthDiscoveryDataset:
         self._answers_by_object: Dict[ObjectId, Dict[WorkerId, Value]] = {}
         self._objects_by_source: Dict[SourceId, List[ObjectId]] = {}
         self._objects_by_worker: Dict[WorkerId, List[ObjectId]] = {}
+        # Claimant key (a source, or ``("worker", w)``) -> dense id, assigned
+        # at the claimant's first claim and never moved (claims are never
+        # deleted, so every entry keeps a claim). The columnar encoding
+        # numbers its claimants from this table, so an append only ever adds
+        # ids at the tail.
+        self._claimant_ids: Dict[Hashable, int] = {}
         self._contexts: Dict[ObjectId, ObjectContext] = {}
         self._columnar = None  # lazily built ColumnarClaims, see columnar()
         self._version = 0  # mutation counter stamped onto every encoding
@@ -158,7 +164,8 @@ class TruthDiscoveryDataset:
         what makes journal compaction actually bound recovery time. Claims
         are inserted straight into the indexes; version counters end up as
         if each claim had been appended fresh (callers restoring a journal
-        base pin them to the journaled stamps afterwards).
+        base pin them to the journaled stamps afterwards), and claimants
+        are numbered in dump order: the records' sources, then the workers.
 
         Only for claims that round-tripped through a trusted dump — feeding
         unchecked input here bypasses :class:`DatasetError` validation.
@@ -177,6 +184,13 @@ class TruthDiscoveryDataset:
             dataset._answers_by_object.setdefault(obj, {})[worker] = value
             dataset._objects_by_worker.setdefault(worker, []).append(obj)
             n_answers += 1
+        # Both indexes are keyed in first-claim order: number the sources,
+        # then the workers, exactly as claim-by-claim insertion would.
+        claimant_ids = dataset._claimant_ids
+        for source in dataset._objects_by_source:
+            claimant_ids.setdefault(source, len(claimant_ids))
+        for worker in dataset._objects_by_worker:
+            claimant_ids.setdefault(("worker", worker), len(claimant_ids))
         dataset._records_version = n_records
         dataset._version = n_records + n_answers
         return dataset
@@ -194,6 +208,7 @@ class TruthDiscoveryDataset:
         claims = self._records_by_object.setdefault(record.object, {})
         if record.source not in claims:
             self._objects_by_source.setdefault(record.source, []).append(record.object)
+            self._claimant_ids.setdefault(record.source, len(self._claimant_ids))
             op = ("record", record.object, record.source, record.value)
         elif claims[record.source] == record.value:
             op = ("noop",)  # identical overwrite: the encoding is unchanged
@@ -224,6 +239,7 @@ class TruthDiscoveryDataset:
         claims = self._answers_by_object.setdefault(answer.object, {})
         if answer.worker not in claims:
             self._objects_by_worker.setdefault(answer.worker, []).append(answer.object)
+            self._claimant_ids.setdefault(("worker", answer.worker), len(self._claimant_ids))
             op = ("answer", answer.object, answer.worker, answer.value)
         elif claims[answer.worker] == answer.value:
             op = ("noop",)
@@ -497,6 +513,14 @@ class TruthDiscoveryDataset:
         clone._records_by_object = {o: dict(c) for o, c in self._records_by_object.items()}
         clone._objects_by_source = {s: list(v) for s, v in self._objects_by_source.items()}
         clone._contexts = dict(self._contexts)
+        # The claimant table is copied, so a carried encoding stays a prefix
+        # on both sides. Without the answers only the sources remain, densely
+        # renumbered in their first-claim order — their order in the table.
+        clone._claimant_ids = (
+            dict(self._claimant_ids)
+            if include_answers
+            else {s: i for i, s in enumerate(self._objects_by_source)}
+        )
         if include_answers:
             clone._answers_by_object = {
                 o: dict(c) for o, c in self._answers_by_object.items()

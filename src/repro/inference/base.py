@@ -309,8 +309,9 @@ def validate_warm_start(
 
     A previous result seeds trust/reliability/confidence state keyed by this
     dataset's claimants and candidate values. Fitted on a *clone* — even a
-    claim-identical one — those keys silently mismatch (clones renumber
-    independently), so the gate requires dataset identity. Record *appends*
+    claim-identical one — those keys silently mismatch (a clone numbers the
+    claimants it gains after the copy independently), so the gate requires
+    dataset identity. Record *appends*
     are accepted: candidate sets only ever grow under an append, every
     full-fit consumer seeds by claimant/value key (robust to growth), and
     the incremental paths re-validate the op window themselves via

@@ -107,7 +107,7 @@ def _incremental_confusion_fit(model, dataset, warm, with_prior):
     )
     if plan is None:
         return None
-    col, frontier, _ops = plan
+    col, frontier = plan.col, plan.frontier
     if len(frontier) >= col.n_objects:
         return model._fit_columnar(dataset)
 
@@ -304,7 +304,7 @@ class ZenCrowd(TruthInferenceAlgorithm):
         )
         if plan is None:
             return None
-        col, frontier, _ops = plan
+        col, frontier = plan.col, plan.frontier
         if len(frontier) >= col.n_objects:
             return self._fit_columnar(dataset)
 

@@ -95,12 +95,13 @@ class TDHResult(InferenceResult):
             Tuple[ColumnarClaims, np.ndarray, np.ndarray, np.ndarray]
         ] = None
         #: Set by the fit: ``{"g_sums": (n_claimants, 3),
-        #: "trust": (n_claimants, 3), "claimants": [...]}`` — the final
-        #: iteration's per-claimant case responsibility sums and trust rows,
-        #: keyed by claimant. The incremental fit patches these totals with
-        #: the frontier's delta contributions instead of re-reducing the
-        #: whole claim table, and re-seeds its trust array from the stored
-        #: rows without a per-claimant dict walk.
+        #: "trust": (n_claimants, 3)}`` — the final iteration's per-claimant
+        #: case responsibility sums and trust rows, indexed by the encoding's
+        #: claimant ids. Those ids never move under an append, so they are a
+        #: prefix of every later encoding's: the incremental fit patches
+        #: these totals with the frontier's delta contributions instead of
+        #: re-reducing the whole claim table, and re-seeds its trust array
+        #: from the stored rows without a per-claimant dict walk.
         self.em_state: Optional[Dict[str, object]] = None
         #: Set by the incremental fit: number of objects re-converged (the
         #: frontier size). ``None`` for full fits.
@@ -471,11 +472,7 @@ class TDHModel(TruthInferenceAlgorithm):
         )
         result.columnar_state = (col, mu, numer_flat, denom_obj)
         if g_sums is not None:
-            result.em_state = {
-                "g_sums": g_sums,
-                "trust": trust,
-                "claimants": col.claimants,
-            }
+            result.em_state = {"g_sums": g_sums, "trust": trust}
         return result
 
     # ------------------------------------------------------------------
@@ -498,8 +495,8 @@ class TDHModel(TruthInferenceAlgorithm):
         trust rows, ``mu`` and case weights. After an answers-only window
         the current encoding's case weights are the warm ones. Once records
         landed, the contribution is re-evaluated on the *warm* encoding —
-        the frontier objects that existed at the warm fit — and scattered
-        to the current claimant ids: a claim that adds a candidate value
+        the frontier objects that existed at the warm fit, whose claimant
+        ids are the current ones: a claim that adds a candidate value
         moves its object's ``|Vo|``, ``Go(v)`` and popularity denominators,
         so evaluating the old claims on the current encoding would subtract
         mass the stored totals never held, and the error would compound
@@ -522,7 +519,7 @@ class TDHModel(TruthInferenceAlgorithm):
         )
         if plan is None:
             return None
-        col, frontier, _ops = plan
+        col, frontier = plan.col, plan.frontier
         if len(frontier) >= col.n_objects:
             # Saturated frontier: the full warm fit is both exact and no
             # more expensive than re-converging "everything incrementally".
@@ -534,27 +531,13 @@ class TDHModel(TruthInferenceAlgorithm):
         prior_psi = self.beta / self.beta.sum()
         is_worker = col.claimant_is_worker
 
-        # Old claimant id -> current id (append-only => every old claimant
-        # still exists; brand-new ones keep the prior rows set below).
-        index = col.claimant_index
-        old_ids = np.fromiter(
-            (index[key] for key in em["claimants"]),
-            dtype=np.int64,
-            count=len(em["claimants"]),
-        )
+        # Claimant ids never move under an append: the warm fit's claimants
+        # are this encoding's first ``n_old``, and brand-new ones keep the
+        # prior rows.
+        warm_col = state[0]
+        n_old = warm_col.n_claimants
         trust = np.where(is_worker[:, None], prior_psi, prior_phi)
-        warm_trust = em.get("trust")
-        if warm_trust is not None:
-            trust[old_ids] = warm_trust
-        else:  # pragma: no cover - states predating the stored trust array
-            for cid, key in enumerate(col.claimants):
-                vec = (
-                    warm_start.psi.get(key[1])
-                    if is_worker[cid]
-                    else warm_start.phi.get(key)
-                )
-                if vec is not None:
-                    trust[cid] = vec
+        trust[:n_old] = em["trust"]
 
         case_arrays = self._pair_case_arrays(col, fv)
 
@@ -565,15 +548,13 @@ class TDHModel(TruthInferenceAlgorithm):
         numer_flat = plan.expand_slots(state[2])
         mu_f = mu[fv.slot_ids]
 
-        # Base per-claimant case sums: the previous round's totals re-keyed
-        # to the current claimant ids (append-only => every old claimant
-        # still exists; new ones start at zero), minus the frontier's
-        # pre-existing claims evaluated exactly as the warm fit saw them.
-        # Appended claims were never inside the stored totals.
-        warm_col = state[0]
+        # Base per-claimant case sums: the previous round's totals (new
+        # claimants start at zero), minus the frontier's pre-existing claims
+        # evaluated exactly as the warm fit saw them. Appended claims were
+        # never inside the stored totals.
         n_claimants = col.n_claimants
         base_g = np.zeros((n_claimants, 3), dtype=np.float64)
-        base_g[old_ids] = em["g_sums"]
+        base_g[:n_old] = em["g_sums"]
         if getattr(dataset, "_records_version", 0) == warm_start.records_version:
             # Answers only: an answer names an existing candidate, so no old
             # claim's case weights moved and the current arrays evaluate
@@ -595,11 +576,11 @@ class TDHModel(TruthInferenceAlgorithm):
             warm_fv = FrontierView(warm_col, frontier[frontier < warm_col.n_objects])
             _, g1, g2, g3 = _tdh_estep_kernel(
                 warm_fv,
-                trust[old_ids],
+                trust[:n_old],
                 state[1][warm_fv.slot_ids],
                 *self._pair_case_arrays(warm_col, warm_fv),
             )
-            old_claimant = old_ids[warm_fv.claim_claimant]
+            old_claimant = warm_fv.claim_claimant
         for k, g in enumerate((g1, g2, g3)):
             base_g[:, k] -= np.bincount(old_claimant, weights=g, minlength=n_claimants)
 
@@ -709,11 +690,7 @@ class TDHModel(TruthInferenceAlgorithm):
             converged=converged,
         )
         result.columnar_state = (col, mu, numer_flat, denom_obj)
-        result.em_state = {
-            "g_sums": g_sums,
-            "trust": trust,
-            "claimants": col.claimants,
-        }
+        result.em_state = {"g_sums": g_sums, "trust": trust}
         result.frontier_size = len(frontier)
         result.frontier_state = plan.frontier_state
         return result

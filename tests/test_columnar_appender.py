@@ -8,6 +8,10 @@ Also covers the appender lifecycle around dataset clones: ``copy()`` carries
 a fresh encoding forward (the satellite fix), clones diverge safely because
 encodings are immutable snapshots, and appenders that outlive their dataset
 or hold a foreign clone's encoding raise :class:`StaleEncodingError`.
+
+Claimant ids belong to the dataset, which assigns each one at the
+claimant's first claim: every later encoding's ``claimants`` extends every
+earlier one's, cold rebuilds and clones included.
 """
 
 from __future__ import annotations
@@ -22,8 +26,13 @@ from oracles import EAIOracle, TDHOracle
 from repro.assignment import EAIAssigner
 from repro.crowd.simulator import CrowdSimulator
 from repro.crowd.workers import make_worker_pool
-from repro.data.columnar import ColumnarAppender, ColumnarClaims, StaleEncodingError
-from repro.data.model import Answer, Record, TruthDiscoveryDataset
+from repro.data.columnar import (
+    PAIR_EXPANSION_STATS,
+    ColumnarAppender,
+    ColumnarClaims,
+    StaleEncodingError,
+)
+from repro.data.model import Answer, DatasetError, Record, TruthDiscoveryDataset
 from repro.datasets import make_birthplaces
 from repro.hierarchy.tree import Hierarchy
 from repro.inference import TDHModel
@@ -71,7 +80,6 @@ def assert_encodings_equal(incremental: ColumnarClaims, cold: ColumnarClaims) ->
     assert incremental.claimants == cold.claimants
     assert incremental.values == cold.values
     assert incremental.object_index == cold.object_index
-    assert incremental.claimant_index == cold.claimant_index
     assert incremental.value_index == cold.value_index
     for name in ENCODING_ARRAYS:
         np.testing.assert_array_equal(
@@ -115,12 +123,14 @@ def test_random_interleavings_match_cold_rebuild(seed):
     """Property test: random add_record/add_answer/columnar() sequences keep
     the incrementally-maintained encoding array-equal to a cold rebuild at
     every checkpoint — including occasional in-place overwrites, which must
-    fall back to a rebuild rather than corrupt the splice."""
+    fall back to a rebuild rather than corrupt the splice. Claimant ids never
+    move: each checkpoint's claimant table extends the previous one's, across
+    those rebuilds too."""
     rng = np.random.default_rng(seed)
     tree = make_tree()
     values = tree_values(tree)
     ds = TruthDiscoveryDataset(tree, [Record("o0", "s0", values[0])])
-    ds.columnar()  # prime the cache: appends are logged from here on
+    claimants = ds.columnar().claimants  # prime the cache: appends are logged
 
     checkpoints = 0
     for step in range(150):
@@ -153,7 +163,10 @@ def test_random_interleavings_match_cold_rebuild(seed):
             ds.add_answer(Answer(obj, worker, value))
         else:
             checkpoints += 1
-            assert_encodings_equal(ds.columnar(), ColumnarClaims(ds))
+            col = ds.columnar()
+            assert_encodings_equal(col, ColumnarClaims(ds))
+            assert col.claimants[: len(claimants)] == claimants
+            claimants = col.claimants
     assert checkpoints > 0
     assert_encodings_equal(ds.columnar(), ColumnarClaims(ds))
 
@@ -192,9 +205,8 @@ def test_slot_growth_reuses_euler_tour():
     assert values  # the helper stays exercised
 
 
-def test_overwrite_falls_back_to_rebuild():
-    ds = make_birthplaces(size=40, seed=2)
-    ds.columnar()
+def _overwrite_a_record(ds):
+    """An in-place overwrite that orphans no answer (poisons the oplog)."""
     obj, source, value = next(
         (o, s, v)
         for o in ds.objects
@@ -205,6 +217,12 @@ def test_overwrite_falls_back_to_rebuild():
         and sum(1 for u in ds.records_for(o).values() if u == ds.records_for(o)[s]) >= 2
     )
     ds.add_record(Record(obj, source, value))
+
+
+def test_overwrite_falls_back_to_rebuild():
+    ds = make_birthplaces(size=40, seed=2)
+    ds.columnar()
+    _overwrite_a_record(ds)
     assert ds._ops_since(ds._version - 1) is None  # poisoned window
     assert_encodings_equal(ds.columnar(), ColumnarClaims(ds))
 
@@ -229,6 +247,61 @@ def test_oplog_cap_drops_stranded_encodings(monkeypatch):
         ds.add_answer(Answer(obj, f"w{i}", ds.candidates(obj)[0]))
     assert ds._columnar is None  # stranded behind the trimmed window
     assert len(ds._oplog) == 8
+    assert_encodings_equal(ds.columnar(), ColumnarClaims(ds))
+
+
+def _overflow_the_oplog(ds):
+    """More appends than the (patched, tiny) oplog cap holds."""
+    for i, obj in enumerate(ds.objects[:12]):
+        ds.add_answer(Answer(obj, f"w_fill{i}", ds.candidates(obj)[0]))
+
+
+@pytest.mark.parametrize("force_rebuild", [_overwrite_a_record, _overflow_the_oplog])
+def test_claimant_ids_survive_cold_rebuilds(monkeypatch, force_rebuild):
+    """A worker's id is fixed by its first answer, not by the object it
+    answered: a late worker on the first object keeps the tail id it got,
+    through the cold rebuild an overwrite or a MAX_OPLOG trim forces."""
+    monkeypatch.setattr(TruthDiscoveryDataset, "MAX_OPLOG", 8)
+    ds = make_birthplaces(size=40, seed=6)
+    last, first = ds.objects[-1], ds.objects[0]
+    ds.add_answer(Answer(last, "w_early", ds.candidates(last)[0]))
+    before = ds.columnar().claimants
+    ds.add_answer(Answer(first, "w_late", ds.candidates(first)[0]))
+    assert ds.columnar().claimants == before + [("worker", "w_late")]
+    extended = ds.columnar().claimants
+    force_rebuild(ds)
+    assert ds._columnar is None  # the next encoding is a cold build
+    rebuilt = ds.columnar()
+    assert rebuilt.claimants[: len(extended)] == extended
+    assert_encodings_equal(rebuilt, ColumnarClaims(ds))
+
+
+def test_copy_keeps_the_claimant_table():
+    ds = make_birthplaces(size=40, seed=8)
+    ds.add_answer(Answer(ds.objects[-1], "w0", ds.candidates(ds.objects[-1])[0]))
+    ds.add_record(Record(ds.objects[0], "late_source", ds.candidates(ds.objects[0])[0]))
+    col = ds.columnar()
+    assert col.claimants[-2:] == [("worker", "w0"), "late_source"]
+    assert ds.copy().columnar().claimants == col.claimants
+    # without the answers only the sources remain, in their order, densely
+    sources_only = ds.copy(include_answers=False).columnar()
+    assert sources_only.claimants == [c for c in col.claimants if c != ("worker", "w0")]
+    assert not sources_only.claimant_is_worker.any()
+
+
+def test_rejected_answer_registers_no_claimant():
+    ds = make_birthplaces(size=30, seed=4)
+    before = ds.columnar().claimants
+    obj = ds.objects[0]
+    outside = next(
+        v for v in ds.hierarchy.non_root_nodes() if v not in ds.candidates(obj)
+    )
+    with pytest.raises(DatasetError):
+        ds.add_answer(Answer(obj, "w_rejected", outside))
+    assert ("worker", "w_rejected") not in ds._claimant_ids
+    assert ds.columnar().claimants == before
+    ds.add_answer(Answer(obj, "w_next", ds.candidates(obj)[0]))
+    assert ds.columnar().claimants == before + [("worker", "w_next")]
     assert_encodings_equal(ds.columnar(), ColumnarClaims(ds))
 
 
@@ -415,8 +488,8 @@ def canonical_labels(index: np.ndarray) -> np.ndarray:
 
 def assert_pairs_equal(spliced, cold, col) -> None:
     """Pair layout exactly equal; confusion factorization equal up to the
-    documented id relabeling (same partition, and the stable-id keys decode
-    back to the cold build's key set)."""
+    documented id relabeling (same partition, and the keys decode back to
+    the cold build's key set)."""
     for name in PAIR_LAYOUT_ARRAYS:
         np.testing.assert_array_equal(
             getattr(spliced, name), getattr(cold, name), err_msg=f"pairs.{name}"
@@ -429,24 +502,23 @@ def assert_pairs_equal(spliced, cold, col) -> None:
     np.testing.assert_array_equal(
         canonical_labels(spliced.total_index), canonical_labels(cold.total_index)
     )
-    # Stable claimant *and value* ids decode back to the current ids: the key
-    # sets match. Each expansion carries its own radix (`value_base`, widened
-    # on slot-growth splices) and its own stable-id tables, so decode both
-    # sides through their tables into current-id triples before comparing.
+    # Keys hold current claimant ids (they never move) and stable value ids,
+    # which decode back to the current ones: the key sets match. Each
+    # expansion carries its own radix (`value_base`, widened on slot-growth
+    # splices) and its own stable value table, so decode both sides into
+    # current-id triples before comparing.
     nv = max(len(col.values), 1)
 
     def decode(exp, keys, with_claimed):
-        cur_c = np.full(exp.n_stable, -1, dtype=np.int64)
-        cur_c[exp.claimant_stable] = np.arange(col.n_claimants)
         cur_v = np.full(exp.n_value_stable, -1, dtype=np.int64)
         cur_v[exp.value_stable] = np.arange(len(col.values))
         base = exp.value_base
         if with_claimed:
             c, rem = np.divmod(keys, base * base)
             t, v = np.divmod(rem, base)
-            return (cur_c[c] * nv + cur_v[t]) * nv + cur_v[v]
+            return (c * nv + cur_v[t]) * nv + cur_v[v]
         c, t = np.divmod(keys, base)
-        return cur_c[c] * nv + cur_v[t]
+        return c * nv + cur_v[t]
 
     np.testing.assert_array_equal(
         np.sort(decode(spliced, spliced.cells, True)),
@@ -458,38 +530,23 @@ def assert_pairs_equal(spliced, cold, col) -> None:
     )
 
 
-def _count_pair_builds(monkeypatch):
-    """Patch PairExpansion.__init__ to count cold factorizations."""
-    from repro.data.columnar import PairExpansion
-
-    counter = {"builds": 0}
-    original = PairExpansion.__init__
-
-    def counting(self, col):
-        counter["builds"] += 1
-        original(self, col)
-
-    monkeypatch.setattr(PairExpansion, "__init__", counting)
-    return counter
-
-
-def test_version_stable_encoding_reuses_cached_expansion(monkeypatch):
+def test_version_stable_encoding_reuses_cached_expansion():
     """Satellite regression: fits with no mutation in between must reuse the
     cached claim x candidate expansion — zero rebuilds, same object."""
     ds = make_birthplaces(size=250, seed=7)
     col = ds.columnar()
     first = col.pairs
-    counter = _count_pair_builds(monkeypatch)
+    cold_builds = PAIR_EXPANSION_STATS["cold_builds"]
     assert ds.columnar() is col
     assert ds.columnar().pairs is first  # same encoding -> same expansion
     model = TDHModel(max_iter=3)
     model.fit(ds)
     model.fit(ds)  # back-to-back fits, no mutation
     assert ds.columnar().pairs is first
-    assert counter["builds"] == 0
+    assert PAIR_EXPANSION_STATS["cold_builds"] == cold_builds
 
 
-def test_answers_only_append_splices_instead_of_rebuilding(monkeypatch):
+def test_answers_only_append_splices_instead_of_rebuilding():
     """The crowdsourcing hot path: appending answers from known workers must
     carry the expansion across the appender splice with no np.unique pass."""
     ds = make_birthplaces(size=250, seed=7)
@@ -499,14 +556,14 @@ def test_answers_only_append_splices_instead_of_rebuilding(monkeypatch):
         ds.add_answer(Answer(obj, f"w{i % 3}", ds.candidates(obj)[0]))
     col = ds.columnar()
     _ = col.pairs
-    counter = _count_pair_builds(monkeypatch)
+    cold_builds = PAIR_EXPANSION_STATS["cold_builds"]
     for i, obj in enumerate(ds.objects[10:60]):
         cands = ds.candidates(obj)
         ds.add_answer(Answer(obj, f"w{i % 3}", cands[int(rng.integers(len(cands)))]))
     appended = ds.columnar()
     assert appended is not col
     assert appended._pairs is not None  # spliced eagerly, not rebuilt lazily
-    assert counter["builds"] == 0
+    assert PAIR_EXPANSION_STATS["cold_builds"] == cold_builds
     assert_pairs_equal(appended.pairs, ColumnarClaims(ds).pairs, appended)
 
 
@@ -514,8 +571,8 @@ def test_answers_only_append_splices_instead_of_rebuilding(monkeypatch):
 def test_pair_splice_matches_cold_under_random_interleavings(seed):
     """Property test: whatever interleaving of appends hits the encoding,
     the maintained expansion equals a cold factorization at every
-    checkpoint — whether it was spliced or (on renumbering / slot growth /
-    overwrites) rebuilt."""
+    checkpoint — whether it was spliced (with or without slot growth) or,
+    after an overwrite, rebuilt."""
     rng = np.random.default_rng(seed)
     tree = make_tree()
     values = tree_values(tree)
@@ -543,25 +600,25 @@ def test_pair_splice_matches_cold_under_random_interleavings(seed):
     assert_pairs_equal(col_now.pairs, ColumnarClaims(ds).pairs, col_now)
 
 
-def test_claimant_renumbering_splices_through_key_permutation(monkeypatch):
-    """An insert that re-ranks the claimant decode table (a brand-new worker
-    answering the very first object) is still spliced: claimant ids only
-    enter the expansion through the confusion keys, and the renumbering is
-    applied as a permutation of the (small) key tables."""
+def test_new_worker_on_first_object_appends_at_tail_and_splices():
+    """A brand-new worker answering the very first object takes the next id
+    at the tail of the claimant table — no existing claimant moves — and the
+    expansion is spliced with no cold factorization."""
     ds = make_birthplaces(size=120, seed=7)
     col = ds.columnar()
     _ = col.pairs
-    counter = _count_pair_builds(monkeypatch)
+    stats = dict(PAIR_EXPANSION_STATS)
     first_obj = ds.objects[0]
     ds.add_answer(Answer(first_obj, "brand_new_worker", ds.candidates(first_obj)[0]))
     appended = ds.columnar()
-    assert appended.claimants != col.claimants + [("worker", "brand_new_worker")]
+    assert appended.claimants == col.claimants + [("worker", "brand_new_worker")]
     assert appended._pairs is not None
-    assert counter["builds"] == 0
+    assert PAIR_EXPANSION_STATS["cold_builds"] == stats["cold_builds"]
+    assert PAIR_EXPANSION_STATS["spliced"] == stats["spliced"] + 1
     assert_pairs_equal(appended.pairs, ColumnarClaims(ds).pairs, appended)
 
 
-def test_new_candidate_value_splices_slot_growth(monkeypatch):
+def test_new_candidate_value_splices_slot_growth():
     """A record growing a candidate set moves every later slot — the delta
     the old splice could not express and the cold-fallback cliff this PR
     removes. The expansion is now carried across slot growth: layout arrays
@@ -569,12 +626,9 @@ def test_new_candidate_value_splices_slot_growth(monkeypatch):
     relocated onto the surviving rows, and only genuinely fresh pairs pay a
     key lookup. No np.unique factorization runs, and the observable counter
     records the splice instead of a silent rebuild."""
-    from repro.data.columnar import PAIR_EXPANSION_STATS
-
     ds = make_birthplaces(size=120, seed=7)
     col = ds.columnar()
     _ = col.pairs
-    counter = _count_pair_builds(monkeypatch)
     before = dict(PAIR_EXPANSION_STATS)
     first_obj = ds.objects[0]
     tree_value = next(
@@ -584,7 +638,6 @@ def test_new_candidate_value_splices_slot_growth(monkeypatch):
     ds.add_record(Record(first_obj, ds.sources_of(first_obj)[0] + "_alt", tree_value))
     grown = ds.columnar()
     assert grown._pairs is not None  # spliced eagerly, not dropped
-    assert counter["builds"] == 0
     assert (
         PAIR_EXPANSION_STATS["spliced_slot_growth"]
         == before["spliced_slot_growth"] + 1

@@ -29,7 +29,7 @@ from oracles import (
 from repro.assignment import EAIAssigner, QascaAssigner
 from repro.crowd.workers import make_worker_pool
 from repro.data.columnar import StaleEncodingError
-from repro.data.model import Answer
+from repro.data.model import Answer, Record, TruthDiscoveryDataset
 from repro.datasets import claims_to_dataset, make_birthplaces, make_heritages, make_stock_claims
 from repro.inference import (
     Accu,
@@ -221,6 +221,59 @@ def test_tdh_ablation_parity(dataset, flags):
         np.testing.assert_allclose(
             columnar.confidences[obj], reference.confidences[obj], atol=1e-8, rtol=0
         )
+
+
+def _renumbered_twins():
+    """Two claim-identical datasets whose claimant tables differ.
+
+    Both hold the same objects, per-object claim order and answers; one
+    inserts the records object-major and the other round-robin by claim
+    rank, so the dataset numbers the sources in a different order.
+    """
+    base = _with_answers(make_birthplaces(size=300, seed=7))
+    claims = [list(base.records_for(obj).items()) for obj in base.objects]
+    object_major = TruthDiscoveryDataset(base.hierarchy, (), gold=base.gold)
+    for obj, obj_claims in zip(base.objects, claims):
+        for source, value in obj_claims:
+            object_major.add_record(Record(obj, source, value))
+    round_robin = TruthDiscoveryDataset(base.hierarchy, (), gold=base.gold)
+    for rank in range(max(len(c) for c in claims)):
+        for obj, obj_claims in zip(base.objects, claims):
+            if rank < len(obj_claims):
+                round_robin.add_record(Record(obj, *obj_claims[rank]))
+    for twin in (object_major, round_robin):
+        for answer in base.iter_answers():
+            twin.add_answer(answer)
+    return object_major, round_robin
+
+
+@pytest.fixture(scope="module")
+def renumbered_twins():
+    return _renumbered_twins()
+
+
+@pytest.mark.parametrize("algo", sorted(ALGORITHMS))
+def test_fits_do_not_depend_on_claimant_numbering(renumbered_twins, algo):
+    """Claimant ids are the dataset's first-claim order, so claim-identical
+    datasets built in a different order number their claimants differently.
+    Every ported algorithm is bitwise invariant to that numbering except
+    CRH, whose weight normalisation sums in claimant order."""
+    first, second = renumbered_twins
+    col_a, col_b = first.columnar(), second.columnar()
+    assert col_a.claimants != col_b.claimants
+    assert set(col_a.claimants) == set(col_b.claimants)
+    assert col_a.objects == col_b.objects and col_a.values == col_b.values
+    result_a = ALGORITHMS[algo](True).fit(first)
+    result_b = ALGORITHMS[algo](True).fit(second)
+    assert result_a.truths() == result_b.truths()
+    assert result_a.iterations == result_b.iterations
+    for obj in first.objects:
+        conf_a = np.asarray(result_a.confidences[obj])
+        conf_b = np.asarray(result_b.confidences[obj])
+        if algo == "CRH":
+            np.testing.assert_allclose(conf_a, conf_b, atol=1e-15, rtol=0)
+        else:
+            assert np.array_equal(conf_a, conf_b), f"{algo} moves on {obj!r}"
 
 
 def test_docs_domain_parity(dataset):

@@ -4,9 +4,9 @@ Three layers, mirroring the implementation:
 
 1. **Index/frontier machinery** (`data/columnar.py`): the claimant->object
    CSR index must equal a cold build after arbitrary append splices
-   (including claimant renumbering), the frontier expansion must match a
-   brute-force BFS at every hop bound, and ``FrontierView`` must gather
-   exactly the global rows it claims to.
+   (including appends that introduce new claimants), the frontier expansion
+   must match a brute-force BFS at every hop bound, and ``FrontierView``
+   must gather exactly the global rows it claims to.
 2. **Oplog window edges** (`data/model.py`): a held encoding is servable at
    exactly ``MAX_OPLOG`` appended ops, unservable at ``MAX_OPLOG + 1`` and
    across an overwrite-triggered log clear — the off-by-one territory the
@@ -139,7 +139,7 @@ def test_claimant_objects_index_matches_brute_force():
 def test_claimant_objects_index_splices_forward(seed):
     """Property: the spliced index equals a cold build after any interleaving
     of answer and record appends — including appends that introduce new
-    claimants mid-order (exercising the claimant renumbering remap)."""
+    claimants on early objects (their ids still land at the tail)."""
     rng = np.random.default_rng(seed)
     tree = Hierarchy()
     for head in ("A", "B", "C"):
@@ -160,9 +160,9 @@ def test_claimant_objects_index_splices_forward(seed):
                 Answer(obj, worker, candidates[int(rng.integers(len(candidates)))])
             )
         else:
-            # new sources force claimant-id renumbering through the splice;
-            # the value stays inside the object's candidate set so the
-            # append is spliceable (new values cold-rebuild by design)
+            # new sources append empty tail groups to the index; the value
+            # stays inside the object's candidate set, so the slot layout
+            # is unchanged
             source = f"s{int(rng.integers(12))}"
             if source in ds.records_for(obj):
                 continue
@@ -259,7 +259,7 @@ def test_incremental_frontier_serves_answer_deltas():
     plan = incremental_frontier(ds, prev)
     assert plan is not None
     assert not plan.grew  # answers never move the slot layout
-    col, frontier, ops = plan
+    col, frontier, ops = plan.col, plan.frontier, plan.ops
     assert col is ds.columnar()
     touched = {op[1] for op in ops}
     assert {col.objects[i] for i in frontier} >= touched
@@ -295,7 +295,7 @@ def test_incremental_frontier_serves_mixed_record_and_answer_deltas():
     ds.add_answer(Answer("brand-new-object", "w0", donor_value))
     plan = incremental_frontier(ds, prev)
     assert plan is not None and plan.grew
-    col, frontier, ops = plan
+    col, frontier, ops = plan.col, plan.frontier, plan.ops
     assert col is ds.columnar()
     assert len(ops) == 5
     # the new object's id only exists in the new encoding — mapping + dedupe
@@ -318,10 +318,10 @@ def test_incremental_frontier_serves_mixed_record_and_answer_deltas():
 
 
 def test_frontier_state_reuse_across_overlapping_deltas():
-    """Consecutive overlapping deltas — the serving steady state — reuse the
-    previous round's computed frontier instead of re-running the BFS, as
-    long as the new dirty objects and their claimants are contained in it
-    (a stored superset frontier is always sound)."""
+    """Consecutive overlapping deltas — e.g. a known worker panel answering
+    again — reuse the previous round's computed frontier instead of
+    re-running the BFS, as long as the new dirty objects and their claimants
+    are contained in it (a stored superset frontier is always sound)."""
     ds = _sparse_heritages()
     model = DawidSkene(max_iter=20, incremental=True)
     warm = model.fit(ds)
@@ -335,15 +335,21 @@ def test_frontier_state_reuse_across_overlapping_deltas():
     held = ds.columnar()
     assert state["version"] == held.version
     # w0 — already a stored claimant via obj — now answers obj2, already in
-    # the stored frontier: the delta is contained and claimant ids keep
-    # their ranks (w0's first occurrence stays at obj, the earlier object),
-    # so the stored frontier is reused without a BFS. (Had w1 answered obj
-    # instead, its first occurrence would move earlier, re-rank claimant
-    # ids, and the prefix guard would — correctly — refuse the reuse.)
+    # the stored frontier: the delta is contained, so the stored frontier
+    # is reused without a BFS.
     ds.add_answer(Answer(obj2, "w0", ds.candidates(obj2)[0]))
     plan = incremental_frontier(ds, held, reuse=state)
     assert plan is not None and plan.frontier_reused
     assert np.array_equal(plan.frontier, state["frontier"])
+    # w1 — a stored claimant first seen on obj2 — answers the earlier obj.
+    # Claimant ids never move, so the stored claimant ids stay valid and
+    # the contained delta reuses the stored frontier as well.
+    held_w1 = ds.columnar()
+    ds.add_answer(Answer(obj, "w1", ds.candidates(obj)[0]))
+    plan_w1 = incremental_frontier(ds, held_w1, reuse=plan.frontier_state)
+    assert plan_w1 is not None and plan_w1.frontier_reused
+    assert np.array_equal(plan_w1.frontier, state["frontier"])
+    assert ds.columnar().claimants[: held_w1.n_claimants] == held_w1.claimants
     # an object outside the stored frontier forces a fresh BFS
     outside = next(
         o
@@ -352,7 +358,7 @@ def test_frontier_state_reuse_across_overlapping_deltas():
         not in set(int(f) for f in state["frontier"])
     )
     held2 = ds.columnar()
-    plan2_state = plan.frontier_state
+    plan2_state = plan_w1.frontier_state
     ds.add_answer(Answer(outside, "w5", ds.candidates(outside)[0]))
     plan2 = incremental_frontier(ds, held2, reuse=plan2_state)
     assert plan2 is not None and not plan2.frontier_reused
@@ -770,10 +776,13 @@ def test_tdh_incremental_reuses_and_patches_em_state():
     assert inc.columnar_state is not None
     # the patched per-claimant case sums stay close to a cold fit's
     cold = TDHModel(max_iter=40, tol=1e-6).fit(ds)
-    g_inc = dict(zip(inc.em_state["claimants"], np.asarray(inc.em_state["g_sums"])))
-    g_cold = dict(
-        zip(cold.em_state["claimants"], np.asarray(cold.em_state["g_sums"]))
-    )
+
+    def sums_by_claimant(result):
+        claimants = result.columnar_state[0].claimants
+        return dict(zip(claimants, np.asarray(result.em_state["g_sums"])))
+
+    g_inc = sums_by_claimant(inc)
+    g_cold = sums_by_claimant(cold)
     assert set(g_inc) == set(g_cold)
     worst = max(float(np.max(np.abs(g_inc[k] - g_cold[k]))) for k in g_cold)
     assert worst < 0.5  # case-responsibility mass, claimant-level
