@@ -1057,7 +1057,34 @@ class ColumnarHierarchy:
     ``tin[u] < tin[v] <= tout[u]`` (:meth:`is_ancestor_vid`). That turns the
     per-claim-per-candidate hierarchy checks of the TDH likelihood (Eq. 1/3)
     into three array comparisons.
+
+    Construction builds only what TDH, the EAI assigner and
+    :meth:`ColumnarClaims.popularity_denominators` read: ``tin`` / ``tout``,
+    the slot-level ``Go(v)`` CSR with ``slot_gsize``, and
+    ``obj_has_hierarchy``. The rest is built on first access and cached (see
+    :data:`_LAZY_TABLES`): the value-level CSRs with ``top_values`` /
+    ``top_code`` / ``domains`` (DOCS), ``depth`` / ``slot_depth`` (ASUMS)
+    and the slot-level ``Do(v)`` CSR. A serving fit whose batch appends
+    objects rebuilds this view, so it pays for the eager tables only.
     """
+
+    #: Table name -> the builder that sets it (with its group) on first access.
+    _LAZY_TABLES = {
+        **dict.fromkeys(
+            (
+                "anc_offsets",
+                "anc_vids",
+                "desc_offsets",
+                "desc_vids",
+                "top_values",
+                "top_code",
+                "domains",
+            ),
+            "_build_value_csr",
+        ),
+        **dict.fromkeys(("depth", "slot_depth"), "_build_depth"),
+        **dict.fromkeys(("slot_desc_offsets", "slot_desc_slots"), "_build_slot_desc"),
+    }
 
     def __init__(
         self,
@@ -1092,22 +1119,44 @@ class ColumnarHierarchy:
                     stack.append((child, False))
         self._tour: Tuple[Dict, Dict, int] = (tin, tout, len(tree))
 
-        self.depth = np.asarray(
-            [tree.depth(value) for value in col.values], dtype=np.int64
-        )
         self.tin = np.asarray([tin[value] for value in col.values], dtype=np.int64)
         self.tout = np.asarray([tout[value] for value in col.values], dtype=np.int64)
 
-        # --- value-level ancestor CSR (encoded ancestors only, nearest first)
-        # plus the depth-1 "domain" ancestor per value.
+        # --- slot-level CSR, harvested by ColumnarClaims from the contexts.
+        self.slot_anc_offsets = col._slot_anc_offsets
+        self.slot_anc_slots = col._slot_anc_slots
+        self.slot_gsize = np.diff(self.slot_anc_offsets)
+        self.obj_has_hierarchy = col._obj_has_hierarchy
+
+        # What the first-access builders read. Not the encoding itself: the
+        # appender hands this view to later encodings, and a reference back
+        # would keep superseded encodings alive.
+        self._tree = tree
+        self._values = col.values
+        self._value_index = col.value_index
+        self._slot_vid = col.slot_vid
+
+    def __getattr__(self, name: str):
+        # Only reached when ``name`` is not yet in the instance dict.
+        builder = type(self)._LAZY_TABLES.get(name)
+        if builder is None:
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}"
+            )
+        getattr(self, builder)()
+        return self.__dict__[name]
+
+    def _build_value_csr(self) -> None:
+        """Value-level ancestor CSR (encoded ancestors only, nearest first),
+        its inverse, and the depth-1 "domain" ancestor per value."""
+        tree = self._tree
+        value_index = self._value_index
         anc_offsets = [0]
         anc_vids: List[int] = []
         top_values: List[Hashable] = []
-        for value in col.values:
+        for value in self._values:
             chain = tree.ancestors(value)  # nearest first, root excluded
-            anc_vids.extend(
-                col.value_index[a] for a in chain if a in col.value_index
-            )
+            anc_vids.extend(value_index[a] for a in chain if a in value_index)
             anc_offsets.append(len(anc_vids))
             top_values.append(chain[-1] if chain else value)
         self.anc_offsets = np.asarray(anc_offsets, dtype=np.int64)
@@ -1124,7 +1173,7 @@ class ColumnarHierarchy:
         self.domains: List[Hashable] = list(top_index)
         self.top_code = np.asarray(top_code, dtype=np.int64)
 
-        # --- value-level descendant CSR: invert the ancestor pairs.
+        # Value-level descendant CSR: invert the ancestor pairs.
         owner = np.repeat(
             np.arange(self.n_values, dtype=np.int64), np.diff(self.anc_offsets)
         )
@@ -1135,21 +1184,22 @@ class ColumnarHierarchy:
             ([0], np.cumsum(desc_counts))
         ).astype(np.int64)
 
-        # --- slot-level CSR, harvested by ColumnarClaims from the contexts.
-        self.slot_anc_offsets = col._slot_anc_offsets
-        self.slot_anc_slots = col._slot_anc_slots
-        self.slot_gsize = np.diff(self.slot_anc_offsets)
-        slot_owner = np.repeat(
-            np.arange(col.n_slots, dtype=np.int64), self.slot_gsize
+    def _build_depth(self) -> None:
+        self.depth = np.asarray(
+            [self._tree.depth(value) for value in self._values], dtype=np.int64
         )
+        self.slot_depth = self.depth[self._slot_vid]
+
+    def _build_slot_desc(self) -> None:
+        """Slot-level ``Do(v)`` CSR: invert the ``Go(v)`` pairs."""
+        n_slots = len(self._slot_vid)
+        slot_owner = np.repeat(np.arange(n_slots, dtype=np.int64), self.slot_gsize)
         slot_order = np.argsort(self.slot_anc_slots, kind="stable")
         self.slot_desc_slots = slot_owner[slot_order]
-        slot_desc_counts = np.bincount(self.slot_anc_slots, minlength=col.n_slots)
+        slot_desc_counts = np.bincount(self.slot_anc_slots, minlength=n_slots)
         self.slot_desc_offsets = np.concatenate(
             ([0], np.cumsum(slot_desc_counts))
         ).astype(np.int64)
-        self.obj_has_hierarchy = col._obj_has_hierarchy
-        self.slot_depth = self.depth[col.slot_vid]
 
     # ------------------------------------------------------------------
     def ancestors_of_vid(self, vid: int) -> np.ndarray:
@@ -1181,7 +1231,6 @@ class ColumnarHierarchy:
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"ColumnarHierarchy(values={self.n_values},"
-            f" anc_pairs={len(self.anc_vids)},"
             f" slot_anc_pairs={len(self.slot_anc_slots)})"
         )
 

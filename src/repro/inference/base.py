@@ -150,6 +150,60 @@ class LazyObjectScalars(AbstractMapping):
         return f"{type(self).__name__}({self._col.n_objects} objects)"
 
 
+class LazyClaimantTrust(AbstractMapping):
+    """``claimant -> trust row`` view over one ``(n_claimants, 3)`` array,
+    for one claimant kind: sources (keyed by source id) or workers (keyed by
+    worker id, without the ``("worker", w)`` wrapper).
+
+    Keys resolve through the dataset's claimant table, which numbered the
+    encoding's claimants. A claimant numbered after the fit (an id past the
+    encoding's ``n_claimants``), or one of the other kind, is not a key.
+    Each lookup returns a row of ``trust`` (a numpy view, no copy);
+    iteration walks the encoding's claimant table in id order. Building the
+    view is O(1), where the per-claimant dict it replaces cost an
+    O(n_claimants) Python loop on every fit.
+    """
+
+    def __init__(
+        self, dataset: TruthDiscoveryDataset, columnar, trust: np.ndarray, workers: bool
+    ) -> None:
+        self._dataset = dataset
+        self._col = columnar
+        self._trust = trust
+        self._workers = workers
+
+    def _cid(self, key) -> Optional[int]:
+        col = self._col
+        cid = self._dataset._claimant_ids.get(("worker", key) if self._workers else key)
+        if cid is None or cid >= col.n_claimants:
+            return None
+        return cid if bool(col.claimant_is_worker[cid]) == self._workers else None
+
+    def __getitem__(self, key) -> np.ndarray:
+        cid = self._cid(key)
+        if cid is None:
+            raise KeyError(key)
+        return self._trust[cid]
+
+    def __iter__(self):
+        claimants = self._col.claimants
+        cids = np.flatnonzero(self._col.claimant_is_worker == self._workers)
+        if self._workers:
+            return (claimants[cid][1] for cid in cids)
+        return (claimants[cid] for cid in cids)
+
+    def __len__(self) -> int:
+        n_workers = int(np.count_nonzero(self._col.claimant_is_worker))
+        return n_workers if self._workers else self._col.n_claimants - n_workers
+
+    def __contains__(self, key: object) -> bool:
+        return self._cid(key) is not None
+
+    def __repr__(self) -> str:  # pragma: no cover - debug aid
+        kind = "workers" if self._workers else "sources"
+        return f"{type(self).__name__}({len(self)} {kind})"
+
+
 class InferenceResult:
     """Per-object confidence distributions and derived truths.
 

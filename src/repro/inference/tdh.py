@@ -35,7 +35,7 @@ EM (Section 4.2) reuses.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -44,6 +44,7 @@ from ..data.model import ObjectId, SourceId, TruthDiscoveryDataset, WorkerId
 from ._structures import ObjectStructure, StructureCache
 from .base import (
     InferenceResult,
+    LazyClaimantTrust,
     LazyConfidences,
     LazyObjectScalars,
     LazyTruths,
@@ -62,16 +63,24 @@ DEFAULT_GAMMA = 2.0
 
 
 class TDHResult(InferenceResult):
-    """TDH fit: confidences plus source/worker trustworthiness and EM state."""
+    """TDH fit: confidences plus source/worker trustworthiness and EM state.
+
+    ``phi`` (source -> ``(phi_exact, phi_generalized, phi_wrong)``) and
+    ``psi`` (worker -> the same for ``psi``) are read-only mappings. A fit
+    publishes them as :class:`~repro.inference.base.LazyClaimantTrust`
+    views over the rows of ``em_state["trust"]``: they hold the fit's
+    claimants only, iterate in claimant-id order and return array rows
+    without copying them.
+    """
 
     def __init__(
         self,
         dataset: TruthDiscoveryDataset,
-        confidences: Dict[ObjectId, np.ndarray],
-        phi: Dict[SourceId, np.ndarray],
-        psi: Dict[WorkerId, np.ndarray],
-        numerators: Dict[ObjectId, np.ndarray],
-        denominators: Dict[ObjectId, float],
+        confidences: Mapping[ObjectId, np.ndarray],
+        phi: Mapping[SourceId, np.ndarray],
+        psi: Mapping[WorkerId, np.ndarray],
+        numerators: Mapping[ObjectId, np.ndarray],
+        denominators: Mapping[ObjectId, float],
         structures: StructureCache,
         iterations: int,
         converged: bool,
@@ -89,8 +98,8 @@ class TDHResult(InferenceResult):
         self.records_version = getattr(dataset, "_records_version", 0)
         #: Set by the fit: ``(encoding, mu, numerators, denominators)`` as
         #: flat slot/object arrays, which the EAI assigner consumes directly
-        #: (the dict views above alias ``mu`` and ``numerators``, so the two
-        #: representations cannot diverge).
+        #: (the mapping views above alias ``mu`` and ``numerators``, so the
+        #: two representations cannot diverge).
         self.columnar_state: Optional[
             Tuple[ColumnarClaims, np.ndarray, np.ndarray, np.ndarray]
         ] = None
@@ -100,8 +109,9 @@ class TDHResult(InferenceResult):
         #: claimant ids. Those ids never move under an append, so they are a
         #: prefix of every later encoding's: the incremental fit patches
         #: these totals with the frontier's delta contributions instead of
-        #: re-reducing the whole claim table, and re-seeds its trust array
-        #: from the stored rows without a per-claimant dict walk.
+        #: re-reducing the whole claim table, and both fits re-seed their
+        #: trust from the stored rows without a per-claimant walk. Each
+        #: trust row is the M-step of its ``g_sums`` row.
         self.em_state: Optional[Dict[str, object]] = None
         #: Set by the incremental fit: number of objects re-converged (the
         #: frontier size). ``None`` for full fits.
@@ -133,23 +143,27 @@ class TDHResult(InferenceResult):
         return prior_arr / prior_arr.sum()
 
 
-def _tdh_estep_kernel(ops, trust, mu, exact, case2, case3, pair_claimant):
+def _tdh_estep_kernel(ops, trust, pair_cid, claim_cid, mu, exact, case2, case3):
     """One TDH E-step (Figure 4, Eq. 1-8) over ``ops``: the whole
     :class:`~repro.data.columnar.ColumnarClaims` or a
     :class:`~repro.data.columnar.FrontierView` of it.
 
-    ``exact`` / ``case2`` / ``case3`` / ``pair_claimant`` are the per-pair
-    inputs of :meth:`TDHModel._pair_case_arrays` (built once per fit),
-    ``mu`` the flat confidences over ``ops``'s slots and ``trust`` the
-    per-claimant rows, indexed by global claimant id. Returns the confidence
-    numerator sums plus the per-claim case responsibilities ``g1``/``g2``/
-    ``g3``; the caller reduces those per claimant.
+    ``trust`` is a ``(3, k)`` block holding one trust column per claimant
+    (``phi`` for a source, ``psi`` for a worker); ``pair_cid`` and
+    ``claim_cid`` give each of ``ops``'s pairs and claims its column. The
+    full fit passes every claimant, addressed by global claimant id; the
+    incremental fit passes only the frontier's claimants, addressed by
+    their rank among them. ``exact`` / ``case2`` / ``case3`` are the per-pair
+    case weights of :meth:`TDHModel._pair_case_arrays` (built once per fit)
+    and ``mu`` the flat confidences over ``ops``'s slots. Returns the
+    confidence numerator sums plus the per-claim case responsibilities
+    ``g1``/``g2``/``g3``; the caller reduces those per claimant.
     """
     mu_pair = mu[ops.pair_slot]
     like = (
-        trust[:, 0][pair_claimant] * exact
-        + trust[:, 1][pair_claimant] * case2
-        + trust[:, 2][pair_claimant] * case3
+        trust[0][pair_cid] * exact
+        + trust[1][pair_cid] * case2
+        + trust[2][pair_cid] * case3
     )
     joint = like * mu_pair
     z = np.bincount(ops.pair_claim, weights=joint, minlength=ops.n_claims)
@@ -160,13 +174,28 @@ def _tdh_estep_kernel(ops, trust, mu, exact, case2, case3, pair_claimant):
     f = np.where(zpos[ops.pair_claim], joint / z_safe[ops.pair_claim], mu_pair)
     f_sum = np.bincount(ops.pair_slot, weights=f, minlength=ops.n_slots)
 
-    t_claim = trust[ops.claim_claimant]
     s2 = np.bincount(ops.pair_claim, weights=case2 * mu_pair, minlength=ops.n_claims)
     third = 1.0 / 3.0
-    g1 = np.where(zpos, t_claim[:, 0] * mu[ops.claim_slot] / z_safe, third)
-    g2 = np.where(zpos, t_claim[:, 1] * s2 / z_safe, third)
+    g1 = np.where(zpos, trust[0][claim_cid] * mu[ops.claim_slot] / z_safe, third)
+    g2 = np.where(zpos, trust[1][claim_cid] * s2 / z_safe, third)
     g3 = np.where(zpos, np.maximum(0.0, 1.0 - g1 - g2), third)
     return f_sum, g1, g2, g3
+
+
+def _trust_m_step(g, prior_m1, prior_m1_sum, prior_mean):
+    """Trust M-step (Eq. 10-11) over a ``(3, k)`` block of per-claimant case
+    sums ``g``: ``prior_m1`` holds each claimant's ``alpha - 1`` (source) or
+    ``beta - 1`` (worker) column and ``prior_m1_sum`` its total; a claimant
+    with no mass keeps its ``prior_mean`` column. Column adds sum each
+    claimant's three entries in the order ``sum(axis=1)`` did on the old
+    ``(k, 3)`` layout, so results are bitwise unchanged.
+    """
+    denom = g[0] + g[1] + g[2] + prior_m1_sum
+    ok = denom > 0
+    vec = (g + prior_m1) / np.where(ok, denom, 1.0)
+    vec = np.maximum(vec, 1e-12)
+    vec /= vec[0] + vec[1] + vec[2]
+    return np.where(ok, vec, prior_mean)
 
 
 class TDHModel(TruthInferenceAlgorithm):
@@ -272,7 +301,8 @@ class TDHModel(TruthInferenceAlgorithm):
         """Run EM to convergence and return a :class:`TDHResult`.
 
         ``warm_start`` (a previous fit of this dataset) seeds source and
-        worker trustworthiness, which the round-based crowd simulator uses to
+        worker trustworthiness from its stored trust rows
+        (``em_state["trust"]``), which the round-based crowd simulator uses to
         avoid re-learning from scratch every round; a warm start fitted on a
         different dataset object, or across an in-place record overwrite, is
         refused with a :class:`RuntimeWarning` and degrades to a cold start
@@ -293,8 +323,8 @@ class TDHModel(TruthInferenceAlgorithm):
     # full fit
     # ------------------------------------------------------------------
     def _pair_case_arrays(self, col: ColumnarClaims, view=None):
-        """The per-pair inputs of :func:`_tdh_estep_kernel`: the case weights
-        of Eq. (1)-(4) as flat arrays, plus each pair's claimant.
+        """The per-pair case weights of Eq. (1)-(4) that
+        :func:`_tdh_estep_kernel` reads, as flat arrays.
 
         Element ``p`` of ``exact`` / ``case2`` / ``case3`` is the
         corresponding entry ``[u, v]`` of the per-object
@@ -374,7 +404,6 @@ class TDHModel(TruthInferenceAlgorithm):
             exact_f,
             np.where(is_answer_pair, worker_case2, source_case2),
             np.where(is_answer_pair, worker_case3, source_case3),
-            ops.claim_claimant[ops.pair_claim],
         )
 
     def _fit_columnar(
@@ -385,23 +414,19 @@ class TDHModel(TruthInferenceAlgorithm):
     ) -> TDHResult:
         col = dataset.columnar()
         cache = structures if structures is not None else self.make_structure_cache(dataset)
-        prior_phi = self.alpha / self.alpha.sum()
-        prior_psi = self.beta / self.beta.sum()
-        is_worker = col.claimant_is_worker
+        prior_m1, prior_mean = self._trust_priors(col.claimant_is_worker)
+        prior_m1_sum = prior_m1[0] + prior_m1[1] + prior_m1[2]
 
-        trust = np.where(is_worker[:, None], prior_psi, prior_phi)
-        if warm_start is not None:
-            for cid, key in enumerate(col.claimants):
-                vec = (
-                    warm_start.psi.get(key[1])
-                    if is_worker[cid]
-                    else warm_start.phi.get(key)
-                )
-                if vec is not None:
-                    trust[cid] = vec
+        # Trust as a (3, n_claimants) block; a warm start's claimants are
+        # this encoding's first ones (claimant ids never move).
+        trust = prior_mean.copy()
+        if warm_start is not None and warm_start.em_state is not None:
+            warm_trust = warm_start.em_state["trust"]
+            trust[:, : len(warm_trust)] = warm_trust.T
 
         # Per-pair case weights of Eq. (1)-(4): iteration-invariant.
         case_arrays = self._pair_case_arrays(col)
+        pair_cid = col.claim_claimant[col.pair_claim]
 
         mu = col.initial_confidences_flat()
         gamma_minus_1 = self.gamma - 1.0
@@ -413,8 +438,6 @@ class TDHModel(TruthInferenceAlgorithm):
         den_positive = den_slot > 0
         den_safe = np.where(den_positive, den_slot, 1.0)
         uniform_slot = 1.0 / col.sizes.astype(np.float64)[col.slot_obj]
-        prior_m1 = np.where(is_worker[:, None], self.beta - 1.0, self.alpha - 1.0)
-        prior_mean = np.where(is_worker[:, None], prior_psi, prior_phi)
 
         numer_flat = np.zeros(col.n_slots, dtype=np.float64)
         iterations = 0
@@ -422,7 +445,9 @@ class TDHModel(TruthInferenceAlgorithm):
         g_sums = None
 
         for iterations in range(1, self.max_iter + 1):
-            f_sum, g1, g2, g3 = _tdh_estep_kernel(col, trust, mu, *case_arrays)
+            f_sum, g1, g2, g3 = _tdh_estep_kernel(
+                col, trust, pair_cid, col.claim_claimant, mu, *case_arrays
+            )
             # Per-claimant case sums: one bincount over the whole claim table.
             g_sums = np.stack(
                 [
@@ -430,17 +455,9 @@ class TDHModel(TruthInferenceAlgorithm):
                         col.claim_claimant, weights=g, minlength=col.n_claimants
                     )
                     for g in (g1, g2, g3)
-                ],
-                axis=1,
+                ]
             )
-
-            # M-step for trustworthiness (Eq. 10-11).
-            count_c = g_sums.sum(axis=1)
-            denom_c = count_c + prior_m1.sum(axis=1)
-            vec = (g_sums + prior_m1) / np.where(denom_c > 0, denom_c, 1.0)[:, None]
-            vec = np.clip(vec, 1e-12, None)
-            vec = vec / vec.sum(axis=1, keepdims=True)
-            trust = np.where((denom_c > 0)[:, None], vec, prior_mean)
+            trust = _trust_m_step(g_sums, prior_m1, prior_m1_sum, prior_mean)
 
             # M-step for confidences (Eq. 9).
             numer_flat = f_sum + gamma_minus_1
@@ -451,19 +468,39 @@ class TDHModel(TruthInferenceAlgorithm):
                 converged = True
                 break
 
-        phi: Dict[SourceId, np.ndarray] = {}
-        psi: Dict[WorkerId, np.ndarray] = {}
-        for cid, key in enumerate(col.claimants):
-            if is_worker[cid]:
-                psi[key[1]] = trust[cid].copy()
-            else:
-                phi[key] = trust[cid].copy()
+        trust = np.ascontiguousarray(trust.T)
+        result = self._result(
+            dataset, col, cache, mu, numer_flat, denom_obj, trust, iterations, converged
+        )
+        if g_sums is not None:
+            result.em_state = {"g_sums": np.ascontiguousarray(g_sums.T), "trust": trust}
+        return result
 
+    def _trust_priors(self, is_worker: np.ndarray):
+        """``(prior_m1, prior_mean)`` as ``(3, k)`` columns for claimants
+        whose kind is ``is_worker``: the Dirichlet ``alpha - 1`` / ``beta -
+        1`` and the prior mean a claimant with no case mass keeps."""
+        prior_m1 = np.where(
+            is_worker, (self.beta - 1.0)[:, None], (self.alpha - 1.0)[:, None]
+        )
+        prior_mean = np.where(
+            is_worker,
+            (self.beta / self.beta.sum())[:, None],
+            (self.alpha / self.alpha.sum())[:, None],
+        )
+        return prior_m1, prior_mean
+
+    @staticmethod
+    def _result(
+        dataset, col, cache, mu, numer_flat, denom_obj, trust, iterations, converged
+    ) -> TDHResult:
+        """A :class:`TDHResult` over the flat fit state; ``trust`` is the
+        ``(n_claimants, 3)`` array the ``phi``/``psi`` views read."""
         result = TDHResult(
             dataset=dataset,
             confidences=LazyConfidences(col, mu),
-            phi=phi,
-            psi=psi,
+            phi=LazyClaimantTrust(dataset, col, trust, workers=False),
+            psi=LazyClaimantTrust(dataset, col, trust, workers=True),
             numerators=LazyConfidences(col, numer_flat),
             denominators=LazyObjectScalars(col, denom_obj),
             structures=cache,
@@ -471,8 +508,6 @@ class TDHModel(TruthInferenceAlgorithm):
             converged=converged,
         )
         result.columnar_state = (col, mu, numer_flat, denom_obj)
-        if g_sums is not None:
-            result.em_state = {"g_sums": g_sums, "trust": trust}
         return result
 
     # ------------------------------------------------------------------
@@ -488,8 +523,10 @@ class TDHModel(TruthInferenceAlgorithm):
 
         Per EM iteration only the frontier's E-step runs (the full fit's
         :func:`_tdh_estep_kernel` over a
-        :class:`~repro.data.columnar.FrontierView`); the global per-claimant
-        case sums are patched as ``base + frontier``. ``base`` is the
+        :class:`~repro.data.columnar.FrontierView`), followed by
+        :func:`_trust_m_step` — both on the frontier claimants' own ``(3,
+        k)`` trust block, the ``k`` claimants with a claim on the frontier.
+        Their case sums are patched as ``base + frontier``. ``base`` is the
         previous round's stored totals minus what the frontier's
         pre-existing claims contributed to them, evaluated with the warm
         trust rows, ``mu`` and case weights. After an answers-only window
@@ -501,7 +538,10 @@ class TDHModel(TruthInferenceAlgorithm):
         so evaluating the old claims on the current encoding would subtract
         mass the stored totals never held, and the error would compound
         round after round. Clean objects keep their
-        previous posteriors and numerators verbatim. The freeze makes the
+        previous posteriors and numerators verbatim, and clean claimants
+        their stored case sums and trust rows: those rows are already each
+        other's M-step, so the block is written back once, after the loop,
+        and nothing is rebuilt per claimant of the corpus. The freeze makes the
         result an approximation bounded by the previous fit's convergence
         tolerance — ``tests/test_incremental_em.py`` property-checks it
         against cold fits — except when the frontier saturates, where the
@@ -527,19 +567,31 @@ class TDHModel(TruthInferenceAlgorithm):
 
         fv = FrontierView(col, frontier)
         cache = structures if structures is not None else self.make_structure_cache(dataset)
-        prior_phi = self.alpha / self.alpha.sum()
-        prior_psi = self.beta / self.beta.sum()
         is_worker = col.claimant_is_worker
 
         # Claimant ids never move under an append: the warm fit's claimants
-        # are this encoding's first ``n_old``, and brand-new ones keep the
-        # prior rows.
+        # are this encoding's first ``n_old``, and brand-new ones (all with
+        # claims on the frontier) start from the prior.
         warm_col = state[0]
         n_old = warm_col.n_claimants
-        trust = np.where(is_worker[:, None], prior_psi, prior_phi)
-        trust[:n_old] = em["trust"]
+        n_claimants = col.n_claimants
+        trust = np.concatenate(
+            [em["trust"], self._trust_priors(is_worker[n_old:])[1].T]
+        )
+        g_sums = np.concatenate([em["g_sums"], np.zeros((n_claimants - n_old, 3))])
+
+        # The loop runs on the frontier claimants' own (3, k) trust block:
+        # the E-step reads no other claimant's trust, and every other
+        # claimant's case sums stay at their stored totals.
+        f_cids = np.unique(fv.claim_claimant)
+        claim_local = np.searchsorted(f_cids, fv.claim_claimant)
+        n_local_cids = len(f_cids)
+        block = np.ascontiguousarray(trust[f_cids].T)
+        prior_m1_f, prior_mean_f = self._trust_priors(is_worker[f_cids])
+        prior_m1_sum_f = prior_m1_f[0] + prior_m1_f[1] + prior_m1_f[2]
 
         case_arrays = self._pair_case_arrays(col, fv)
+        pair_local = claim_local[fv.pair_claim]
 
         # Slot growth scatter-expands the stored per-slot state into the new
         # layout; the new slots (all on frontier objects) are re-seeded with
@@ -552,37 +604,40 @@ class TDHModel(TruthInferenceAlgorithm):
         # claimants start at zero), minus the frontier's pre-existing claims
         # evaluated exactly as the warm fit saw them. Appended claims were
         # never inside the stored totals.
-        n_claimants = col.n_claimants
-        base_g = np.zeros((n_claimants, 3), dtype=np.float64)
-        base_g[:n_old] = em["g_sums"]
+        base_g = np.ascontiguousarray(g_sums[f_cids].T)
         if getattr(dataset, "_records_version", 0) == warm_start.records_version:
             # Answers only: an answer names an existing candidate, so no old
             # claim's case weights moved and the current arrays evaluate
             # them as the warm fit did. Each object's appended answers are
             # the tail of its claim block.
-            _, g1, g2, g3 = _tdh_estep_kernel(fv, trust, mu_f, *case_arrays)
+            _, g1, g2, g3 = _tdh_estep_kernel(
+                fv, block, pair_local, claim_local, mu_f, *case_arrays
+            )
             counts = np.diff(col.claim_offsets)[fv.obj_ids]
             first = np.concatenate(([0], np.cumsum(counts)))[fv.claim_obj]
             warm_counts = np.diff(warm_col.claim_offsets)[fv.obj_ids]
             old = np.arange(fv.n_claims) - first < warm_counts[fv.claim_obj]
-            old_claimant = fv.claim_claimant[old]
+            old_local = claim_local[old]
             g1, g2, g3 = g1[old], g2[old], g3[old]
         else:
             # Records landed: a claim that adds a candidate value moves its
             # object's |Vo|, Go(v) and popularity denominators, so the old
             # claims are re-evaluated on the warm encoding. Objects append
             # at the tail of the object axis, so the frontier's old objects
-            # are its ids below the warm object count.
+            # are its ids below the warm object count; their old claimants
+            # still claim on the frontier, so the block holds their trust.
             warm_fv = FrontierView(warm_col, frontier[frontier < warm_col.n_objects])
+            old_local = np.searchsorted(f_cids, warm_fv.claim_claimant)
             _, g1, g2, g3 = _tdh_estep_kernel(
                 warm_fv,
-                trust[:n_old],
+                block,
+                old_local[warm_fv.pair_claim],
+                old_local,
                 state[1][warm_fv.slot_ids],
                 *self._pair_case_arrays(warm_col, warm_fv),
             )
-            old_claimant = warm_fv.claim_claimant
         for k, g in enumerate((g1, g2, g3)):
-            base_g[:, k] -= np.bincount(old_claimant, weights=g, minlength=n_claimants)
+            base_g[k] -= np.bincount(old_local, weights=g, minlength=n_local_cids)
 
         gamma_minus_1 = self.gamma - 1.0
         denom_obj = (
@@ -599,34 +654,9 @@ class TDHModel(TruthInferenceAlgorithm):
             # subtraction would otherwise pin their posterior at zero — the
             # E-step can never move mass onto a zero-prior slot.
             mu_f = np.where(plan.new_slot_mask[fv.slot_ids], uniform_slot, mu_f)
-        prior_m1 = np.where(is_worker[:, None], self.beta - 1.0, self.alpha - 1.0)
-        prior_mean = np.where(is_worker[:, None], prior_psi, prior_phi)
 
-        def m_step_trust(g, m1, m1_sum, mean):
-            # Trust M-step (Eq. 10-11) over a (rows, 3) case-sum block.
-            denom_c = g.sum(axis=1) + m1_sum
-            ok = denom_c > 0
-            vec = (g + m1) / np.where(ok, denom_c, 1.0)[:, None]
-            vec = np.clip(vec, 1e-12, None)
-            vec /= vec.sum(axis=1, keepdims=True)
-            return np.where(ok[:, None], vec, mean)
-
-        # Only claimants with frontier claims see their case sums move, and
-        # the E-step kernel only ever gathers *their* trust rows — every
-        # other row of ``g_sums`` is ``base_g`` for the whole loop, so its
-        # M-step output is a constant that can wait until after the loop.
-        # Per iteration we re-solve just the frontier claimants' block: this
-        # is exactly the global M-step, restricted to the rows that can
-        # change anything.
-        f_cids = np.unique(fv.claim_claimant)
-        claim_local = np.searchsorted(f_cids, fv.claim_claimant)
-        n_local_cids = len(f_cids)
-        prior_m1_f = prior_m1[f_cids]
-        prior_m1_sum_f = prior_m1_f.sum(axis=1)
-        prior_mean_f = prior_mean[f_cids]
-        base_g_f = base_g[f_cids]
-        # One fused bincount per iteration: the three case columns live at
-        # offsets 0 / n / 2n of a single index array.
+        # One fused bincount per iteration: the three case rows live at
+        # offsets 0 / k / 2k of a single index array.
         claim_local_3 = np.concatenate(
             [claim_local + k * n_local_cids for k in range(3)]
         )
@@ -635,17 +665,17 @@ class TDHModel(TruthInferenceAlgorithm):
         n_local_slots = fv.n_slots
         iterations = 0
         converged = False
-        g_local = base_g_f
+        g_local = base_g
         for iterations in range(1, self.max_iter + 1):
-            f_sum, g1, g2, g3 = _tdh_estep_kernel(fv, trust, mu_f, *case_arrays)
-            g_local = base_g_f + np.bincount(
+            f_sum, g1, g2, g3 = _tdh_estep_kernel(
+                fv, block, pair_local, claim_local, mu_f, *case_arrays
+            )
+            g_local = base_g + np.bincount(
                 claim_local_3,
                 weights=np.concatenate((g1, g2, g3)),
                 minlength=3 * n_local_cids,
-            ).reshape(3, n_local_cids).T
-            trust[f_cids] = m_step_trust(
-                g_local, prior_m1_f, prior_m1_sum_f, prior_mean_f
-            )
+            ).reshape(3, n_local_cids)
+            block = _trust_m_step(g_local, prior_m1_f, prior_m1_sum_f, prior_mean_f)
 
             # Confidence M-step (Eq. 9) over the frontier slots only.
             numer_f = f_sum + gamma_minus_1
@@ -660,36 +690,15 @@ class TDHModel(TruthInferenceAlgorithm):
 
         mu[fv.slot_ids] = mu_f
         numer_flat[fv.slot_ids] = numer_f
+        # A clean claimant's stored case sums and trust row are already each
+        # other's M-step (its base subtracts nothing), so only the frontier
+        # claimants' rows are written back.
+        trust[f_cids] = block.T
+        g_sums[f_cids] = g_local.T
 
-        # Clean claimants' constant M-step rows, deferred from the loop.
-        frontier_trust = trust[f_cids]
-        trust = m_step_trust(base_g, prior_m1, prior_m1.sum(axis=1), prior_mean)
-        trust[f_cids] = frontier_trust
-        g_sums = base_g.copy()
-        g_sums[f_cids] = g_local
-
-        # Rows are views into the freshly built ``trust`` (never mutated
-        # again) — same aliasing contract as :meth:`to_confidences`.
-        phi: Dict[SourceId, np.ndarray] = {}
-        psi: Dict[WorkerId, np.ndarray] = {}
-        for cid, key in enumerate(col.claimants):
-            if is_worker[cid]:
-                psi[key[1]] = trust[cid]
-            else:
-                phi[key] = trust[cid]
-
-        result = TDHResult(
-            dataset=dataset,
-            confidences=LazyConfidences(col, mu),
-            phi=phi,
-            psi=psi,
-            numerators=LazyConfidences(col, numer_flat),
-            denominators=LazyObjectScalars(col, denom_obj),
-            structures=cache,
-            iterations=iterations,
-            converged=converged,
+        result = self._result(
+            dataset, col, cache, mu, numer_flat, denom_obj, trust, iterations, converged
         )
-        result.columnar_state = (col, mu, numer_flat, denom_obj)
         result.em_state = {"g_sums": g_sums, "trust": trust}
         result.frontier_size = len(frontier)
         result.frontier_state = plan.frontier_state

@@ -13,9 +13,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.assignment import EAIAssigner
 from repro.data.columnar import StaleEncodingError
 from repro.data.model import Answer, DatasetError, Record, TruthDiscoveryDataset
-from repro.datasets import claims_to_dataset
+from repro.datasets import claims_to_dataset, make_heritages
+from repro.inference import TDHModel
 from repro.hierarchy.numeric import build_numeric_hierarchy, rounding_chain
 from repro.hierarchy.tree import Hierarchy
 
@@ -233,3 +235,41 @@ def test_overwriting_record_invalidates_encoding(geo_dataset):
     assert fresh.n_claims == stale.n_claims
     with pytest.raises(StaleEncodingError):
         stale.assert_fresh(ds)
+
+
+# ---------------------------------------------------------------------------
+# first-access tables
+# ---------------------------------------------------------------------------
+#: One table from each group the view builds on first access.
+FIRST_ACCESS_TABLES = ("anc_vids", "top_code", "slot_desc_slots")
+
+
+def test_tdh_fits_and_eai_never_build_the_value_level_tables():
+    """TDH, its incremental fit and EAI read only the Euler intervals and the
+    slot-level Go(v) CSR; the value-level tables wait for DOCS/ASUMS."""
+
+    def built(result):
+        hier = result.columnar_state[0].hierarchy
+        return [name for name in FIRST_ACCESS_TABLES if name in vars(hier)]
+
+    ds = make_heritages(size=160, n_sources=350, seed=11)
+    model = TDHModel(incremental=True)
+    warm = model.fit(ds)
+    assert built(warm) == []
+
+    # A record adding a candidate value moves the slot layout, so the
+    # appended encoding builds a fresh hierarchy view.
+    obj = ds.objects[0]
+    fresh = next(v for v in ds.hierarchy.non_root_nodes() if v not in ds.candidates(obj))
+    ds.add_record(Record(obj, "late-source", fresh))
+    result = model.fit(ds, warm_start=warm)
+    assert result.frontier_size is not None
+    assert result.columnar_state[0].hierarchy is not warm.columnar_state[0].hierarchy
+    assert built(result) == []
+
+    EAIAssigner().assign(ds, result, ["w0", "w1"], 3)
+    assert built(result) == []
+
+    hier = result.columnar_state[0].hierarchy
+    assert len(hier.top_code) == hier.n_values  # built on first access
+    assert built(result) == ["anc_vids", "top_code"]

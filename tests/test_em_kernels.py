@@ -48,10 +48,12 @@ DATASETS = {
 
 
 def _tdh(ops, col, rng):
-    trust = rng.dirichlet([3.0, 3.0, 2.0], size=col.n_claimants)
+    trust = rng.dirichlet([3.0, 3.0, 2.0], size=col.n_claimants).T
     view = None if ops is col else ops
     case_arrays = TDHModel()._pair_case_arrays(col, view)
-    return _tdh_estep_kernel(ops, trust, col.initial_confidences_flat(), *case_arrays)
+    cids = ops.claim_claimant
+    mu = col.initial_confidences_flat()
+    return _tdh_estep_kernel(ops, trust, cids[ops.pair_claim], cids, mu, *case_arrays)
 
 
 def _confusion(with_prior):

@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from repro import Answer, Hierarchy, Record, TDHModel, TruthDiscoveryDataset, Vote
+from repro.datasets import make_heritages
 from repro.eval import evaluate
+from repro.inference import log_likelihood
+from repro.inference.tdh import _trust_m_step
 
 
 class TestConstruction:
@@ -192,3 +195,112 @@ class TestSingleCandidateObjects:
         result = TDHModel().fit(ds)
         np.testing.assert_allclose(result.confidences["o"], [1.0])
         assert result.truth("o") == "NY"
+
+
+def _sparse_crowd_dataset():
+    """Sparse Heritages-like records plus answers from a small worker panel,
+    so both claimant kinds are present and frontiers stay partial."""
+    ds = make_heritages(size=160, n_sources=350, seed=11)
+    rng = np.random.default_rng(0)
+    for i in range(40):
+        obj = ds.objects[int(rng.integers(len(ds.objects)))]
+        candidates = ds.candidates(obj)
+        ds.add_answer(Answer(obj, f"w{i % 6}", candidates[int(rng.integers(len(candidates)))]))
+    return ds
+
+
+class TestTrustViews:
+    """``phi``/``psi`` are read-only views over ``em_state["trust"]``, keyed
+    through the dataset's claimant table."""
+
+    @pytest.mark.parametrize("incremental", [False, True], ids=["full", "incremental"])
+    def test_views_follow_the_claimant_table(self, incremental):
+        ds = _sparse_crowd_dataset()
+        model = TDHModel(incremental=True)
+        result = model.fit(ds)
+        if incremental:
+            obj = ds.objects[0]
+            ds.add_answer(Answer(obj, "w-new", ds.candidates(obj)[0]))
+            result = model.fit(ds, warm_start=result)
+            assert result.frontier_size is not None
+            assert result.frontier_size < len(ds.objects)
+
+        table = ds._claimant_ids  # key -> id, in id order
+        is_worker = {key: isinstance(key, tuple) and key[0] == "worker" for key in table}
+        sources = [key for key in table if not is_worker[key]]
+        workers = [key[1] for key in table if is_worker[key]]
+        assert sources == ds.sources and workers == ds.workers
+        assert list(result.phi) == sources and len(result.phi) == len(sources)
+        assert list(result.psi) == workers and len(result.psi) == len(workers)
+
+        trust = result.em_state["trust"]
+        assert trust.shape == (len(table), 3)
+        for source in sources:
+            assert np.array_equal(result.phi[source], trust[table[source]])
+        for worker in workers:
+            assert np.array_equal(result.psi[worker], trust[table[("worker", worker)]])
+        assert sources[0] not in result.psi and workers[0] not in result.phi
+        assert ("worker", workers[0]) not in result.phi
+
+        assert result.source_trustworthiness(sources[0]) == tuple(
+            float(x) for x in trust[table[sources[0]]]
+        )
+        assert np.isfinite(log_likelihood(ds, result))
+
+        # A worker registered after the fit is not one of its claimants.
+        obj = ds.objects[1]
+        ds.add_answer(Answer(obj, "w-after-fit", ds.candidates(obj)[0]))
+        assert ("worker", "w-after-fit") in ds._claimant_ids
+        assert "w-after-fit" not in result.psi
+        assert len(result.psi) == len(workers)
+        with pytest.raises(KeyError):
+            result.psi["w-after-fit"]
+        np.testing.assert_array_equal(result.worker_psi("w-after-fit"), np.full(3, 1 / 3))
+
+
+def test_clean_claimant_trust_rows_carry_over_verbatim():
+    """An incremental fit writes back only the frontier claimants' trust rows:
+    a claimant with no frontier claim keeps its warm row bitwise, and every
+    frontier claimant's row is the M-step of its stored case sums."""
+    ds = _sparse_crowd_dataset()
+    model = TDHModel(incremental=True)
+    result = model.fit(ds)
+    rng = np.random.default_rng(5)
+    for batch in range(6):
+        for i in range(8):
+            obj = ds.objects[int(rng.integers(len(ds.objects)))]
+            candidates = ds.candidates(obj)
+            value = candidates[int(rng.integers(len(candidates)))]
+            ds.add_answer(Answer(obj, f"w{batch}-{i}", value))
+        if batch % 2:
+            # Records: a new candidate value on an existing object, and a new object.
+            obj = ds.objects[int(rng.integers(len(ds.objects)))]
+            fresh = next(
+                v for v in ds.hierarchy.non_root_nodes() if v not in ds.candidates(obj)
+            )
+            ds.add_record(Record(obj, f"src-late-{batch}", fresh))
+            ds.add_record(Record(f"obj-late-{batch}", f"src-late-{batch}", fresh))
+        warm_trust = result.em_state["trust"]
+        result = model.fit(ds, warm_start=result)
+        assert result.frontier_size is not None
+
+        col = result.columnar_state[0]
+        on_frontier = np.zeros(col.n_claimants, dtype=bool)
+        for oid in result.frontier_state["frontier"]:
+            rows = slice(col.claim_offsets[oid], col.claim_offsets[oid + 1])
+            on_frontier[col.claim_claimant[rows]] = True
+        assert on_frontier[len(warm_trust):].all()  # new claimants claim on it
+        clean = np.flatnonzero(~on_frontier)
+        assert len(clean)
+
+        trust = result.em_state["trust"]
+        assert np.array_equal(trust[clean], warm_trust[clean])
+        dirty = np.flatnonzero(on_frontier)
+        prior_m1, prior_mean = model._trust_priors(col.claimant_is_worker[dirty])
+        expected = _trust_m_step(
+            result.em_state["g_sums"][dirty].T,
+            prior_m1,
+            prior_m1[0] + prior_m1[1] + prior_m1[2],
+            prior_mean,
+        )
+        assert np.array_equal(trust[dirty], expected.T)
