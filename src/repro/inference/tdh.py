@@ -414,12 +414,12 @@ class TDHModel(TruthInferenceAlgorithm):
     ) -> TDHResult:
         col = dataset.columnar()
         cache = structures if structures is not None else self.make_structure_cache(dataset)
-        prior_m1, prior_mean = self._trust_priors(col.claimant_is_worker)
-        prior_m1_sum = prior_m1[0] + prior_m1[1] + prior_m1[2]
+        priors = self._trust_priors(col.claimant_is_worker)
 
-        # Trust as a (3, n_claimants) block; a warm start's claimants are
-        # this encoding's first ones (claimant ids never move).
-        trust = prior_mean.copy()
+        # Trust as a (3, n_claimants) block, from the prior means; a warm
+        # start's claimants are this encoding's first ones (claimant ids
+        # never move).
+        trust = priors[2].copy()
         if warm_start is not None and warm_start.em_state is not None:
             warm_trust = warm_start.em_state["trust"]
             trust[:, : len(warm_trust)] = warm_trust.T
@@ -457,7 +457,7 @@ class TDHModel(TruthInferenceAlgorithm):
                     for g in (g1, g2, g3)
                 ]
             )
-            trust = _trust_m_step(g_sums, prior_m1, prior_m1_sum, prior_mean)
+            trust = _trust_m_step(g_sums, *priors)
 
             # M-step for confidences (Eq. 9).
             numer_flat = f_sum + gamma_minus_1
@@ -477,9 +477,10 @@ class TDHModel(TruthInferenceAlgorithm):
         return result
 
     def _trust_priors(self, is_worker: np.ndarray):
-        """``(prior_m1, prior_mean)`` as ``(3, k)`` columns for claimants
-        whose kind is ``is_worker``: the Dirichlet ``alpha - 1`` / ``beta -
-        1`` and the prior mean a claimant with no case mass keeps."""
+        """The prior arguments of :func:`_trust_m_step` for claimants whose
+        kind is ``is_worker``: ``(prior_m1, prior_m1_sum, prior_mean)``, the
+        Dirichlet ``alpha - 1`` / ``beta - 1`` as ``(3, k)`` columns, their
+        totals, and the ``(3, k)`` prior means."""
         prior_m1 = np.where(
             is_worker, (self.beta - 1.0)[:, None], (self.alpha - 1.0)[:, None]
         )
@@ -488,7 +489,7 @@ class TDHModel(TruthInferenceAlgorithm):
             (self.beta / self.beta.sum())[:, None],
             (self.alpha / self.alpha.sum())[:, None],
         )
-        return prior_m1, prior_mean
+        return prior_m1, prior_m1[0] + prior_m1[1] + prior_m1[2], prior_mean
 
     @staticmethod
     def _result(
@@ -575,9 +576,8 @@ class TDHModel(TruthInferenceAlgorithm):
         warm_col = state[0]
         n_old = warm_col.n_claimants
         n_claimants = col.n_claimants
-        trust = np.concatenate(
-            [em["trust"], self._trust_priors(is_worker[n_old:])[1].T]
-        )
+        prior_mean_new = self._trust_priors(is_worker[n_old:])[2]
+        trust = np.concatenate([em["trust"], prior_mean_new.T])
         g_sums = np.concatenate([em["g_sums"], np.zeros((n_claimants - n_old, 3))])
 
         # The loop runs on the frontier claimants' own (3, k) trust block:
@@ -587,8 +587,7 @@ class TDHModel(TruthInferenceAlgorithm):
         claim_local = np.searchsorted(f_cids, fv.claim_claimant)
         n_local_cids = len(f_cids)
         block = np.ascontiguousarray(trust[f_cids].T)
-        prior_m1_f, prior_mean_f = self._trust_priors(is_worker[f_cids])
-        prior_m1_sum_f = prior_m1_f[0] + prior_m1_f[1] + prior_m1_f[2]
+        priors_f = self._trust_priors(is_worker[f_cids])
 
         case_arrays = self._pair_case_arrays(col, fv)
         pair_local = claim_local[fv.pair_claim]
@@ -675,7 +674,7 @@ class TDHModel(TruthInferenceAlgorithm):
                 weights=np.concatenate((g1, g2, g3)),
                 minlength=3 * n_local_cids,
             ).reshape(3, n_local_cids)
-            block = _trust_m_step(g_local, prior_m1_f, prior_m1_sum_f, prior_mean_f)
+            block = _trust_m_step(g_local, *priors_f)
 
             # Confidence M-step (Eq. 9) over the frontier slots only.
             numer_f = f_sum + gamma_minus_1

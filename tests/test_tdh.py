@@ -296,11 +296,8 @@ def test_clean_claimant_trust_rows_carry_over_verbatim():
         trust = result.em_state["trust"]
         assert np.array_equal(trust[clean], warm_trust[clean])
         dirty = np.flatnonzero(on_frontier)
-        prior_m1, prior_mean = model._trust_priors(col.claimant_is_worker[dirty])
         expected = _trust_m_step(
             result.em_state["g_sums"][dirty].T,
-            prior_m1,
-            prior_m1[0] + prior_m1[1] + prior_m1[2],
-            prior_mean,
+            *model._trust_priors(col.claimant_is_worker[dirty]),
         )
         assert np.array_equal(trust[dirty], expected.T)
