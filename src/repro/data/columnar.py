@@ -24,10 +24,10 @@ On top of the encoding the class offers the segment primitives the vectorized
 algorithms share — per-object normalize / argmax / log-softmax via
 ``np.add.reduceat`` and friends — plus two lazily built companions:
 
-* :class:`PairExpansion`, the claim x candidate cross-join used by the
-  confusion-matrix EM steps (Dawid-Skene, ZenCrowd, LFC) and by every
+* :class:`PairExpansion`, the claim x candidate cross-join: every
   algorithm whose E-step evaluates a likelihood row per claim (TDH, LCA,
-  DOCS);
+  DOCS, ZenCrowd, Dawid-Skene, LFC) reads its layout, and Dawid-Skene and
+  LFC also read the confusion-cell factorization it builds on first access;
 * :class:`ColumnarHierarchy`, the integer-encoded view of the value
   hierarchy: per-value and per-slot ancestor/descendant CSR index arrays,
   depths, Euler-tour intervals for O(1) vectorized ancestor tests, and the
@@ -49,7 +49,8 @@ new candidate slots, new claimant/value table entries — into fresh arrays
 that share every unchanged buffer with the predecessor encoding. A
 crowdsourcing round therefore costs O(delta) NumPy splices instead of the
 O(claims) Python rebuild; see :meth:`ColumnarAppender.refresh` for the exact
-fallback rules (in-place claim overwrites force a cold rebuild).
+fallback rules (in-place claim overwrites force a cold rebuild). The pair
+expansion is not spliced: each encoding builds its own on first use.
 """
 
 from __future__ import annotations
@@ -159,43 +160,8 @@ class ClaimantObjectsIndex:
         return self.objects[csr_expand(self.offsets[cids], counts[cids])]
 
 
-#: Observable lifecycle counters for the pair expansion: how many times the
-#: O(pairs log pairs) cold ``np.unique`` factorization ran vs the O(delta)
-#: splice paths. Tests and benchmarks read these instead of monkeypatching
-#: ``PairExpansion.__init__``; any cold rebuild on an append path shows up
-#: here instead of silently costing a factorization.
-PAIR_EXPANSION_STATS = {"cold_builds": 0, "spliced": 0, "spliced_slot_growth": 0}
-
-
-def _resolve_pair_keys(lookup, table: np.ndarray, keys: np.ndarray):
-    """Appended confusion keys -> dense ids (existing, or appended to the
-    table), updating the sorted ``(keys, ids)`` lookup; O(delta log cells +
-    cells), no per-pair work at all."""
-    sorted_keys, sorted_ids = lookup
-    uniq, inv = np.unique(keys, return_inverse=True)
-    if len(sorted_keys):
-        at = np.searchsorted(sorted_keys, uniq)
-        hit = at < len(sorted_keys)
-        hit[hit] = sorted_keys[at[hit]] == uniq[hit]
-    else:
-        at = np.zeros(len(uniq), dtype=np.intp)
-        hit = np.zeros(len(uniq), dtype=bool)
-    fresh = uniq[~hit]
-    ids_of_uniq = np.empty(len(uniq), dtype=np.intp)
-    ids_of_uniq[hit] = sorted_ids[at[hit]]
-    ids_of_uniq[~hit] = len(table) + np.arange(len(fresh), dtype=np.intp)
-    if len(fresh):
-        pos = np.searchsorted(sorted_keys, fresh)
-        lookup = (
-            np.insert(sorted_keys, pos, fresh),
-            np.insert(sorted_ids, pos, ids_of_uniq[~hit]),
-        )
-        table = np.concatenate([table, fresh])
-    return table, ids_of_uniq[inv], lookup
-
-
 class PairExpansion:
-    """The claim x candidate cross-join used by confusion-matrix EM steps.
+    """The claim x candidate cross-join behind every per-claim E-step.
 
     Row ``p`` pairs claim ``pair_claim[p]`` with candidate slot
     ``pair_slot[p]`` of the claimed object, ordered by object, then claim,
@@ -203,28 +169,31 @@ class PairExpansion:
     oracles (``tests/oracles.py``), so ``np.bincount`` accumulates partial
     sums in the same sequence.
 
-    ``cell_index`` / ``total_index`` give each row a dense id for its
-    Dawid-Skene confusion cell ``(claimant, truth value, claimed value)`` and
-    marginal ``(claimant, truth value)``; both are iteration-invariant, so the
-    (relatively expensive) ``np.unique`` runs once per encoding — and on
-    append-only mutations not even that: :meth:`spliced` carries a built
-    expansion across a :class:`ColumnarAppender` extension by splicing only
-    the appended claims' pair rows.
+    Construction builds the four layout arrays (``pair_claim``,
+    ``pair_slot``, ``pair_size``, ``pair_is_claimed``), which are all that
+    TDH, LCA, DOCS and ZenCrowd read. The confusion-cell factorization that
+    Dawid-Skene and LFC add is built in one step on first access to any of
+    its attributes (see :data:`_LAZY_TABLES`): ``cell_index`` /
+    ``total_index`` give each row a dense id for its confusion cell
+    ``(claimant, truth value, claimed value)`` and marginal ``(claimant,
+    truth value)``, numbered in ``np.unique`` (key-sorted) order over the
+    ``cells`` / ``totals`` key tables. Both are iteration-invariant, so the
+    ``np.unique`` runs at most once per encoding.
 
-    Cell ids are **append-stable**, not sorted: ``cells[i]`` is the key of
-    the cell that was *i-th to be factorized*, and the keys themselves use
-    the claimant ids — which never move — and each value's
-    :attr:`value_stable` id (the id it had when first factorized), so no
-    append ever moves an existing id. Consumers only require the ids to be
-    dense and consistent — ``np.bincount`` groups and within-group
-    accumulation order are relabeling-invariant, so EM results are
-    bitwise-identical whichever of the cold or spliced id assignments is
-    live. (On a cold build the stable value ids coincide with the value ids
-    and the table happens to be key-sorted — ``np.unique`` order.)
+    Each encoding builds its own expansion on first use;
+    :class:`ColumnarAppender` never carries one across an append. The
+    expansion keeps the three arrays and the value count the factorization
+    reads, never the encoding, so a superseded encoding is still freed by
+    reference counting.
     """
 
+    #: Table name -> the builder that sets it (with its group) on first access.
+    _LAZY_TABLES = dict.fromkeys(
+        ("cells", "cell_index", "totals", "total_index", "n_cells", "n_totals"),
+        "_build_factorization",
+    )
+
     def __init__(self, col: "ColumnarClaims") -> None:
-        PAIR_EXPANSION_STATS["cold_builds"] += 1
         sizes_per_claim = col.sizes[col.claim_obj]
         self.pair_claim = np.repeat(
             np.arange(len(col.claim_obj), dtype=np.int64), sizes_per_claim
@@ -238,252 +207,32 @@ class PairExpansion:
         #: True where the pair's candidate is the claimed value itself.
         self.pair_is_claimed = self.pair_slot == col.claim_slot[self.pair_claim]
 
-        n_values = max(len(col.values), 1)
-        claimant = col.claim_claimant[self.pair_claim].astype(np.int64)
-        truth_vid = col.slot_vid[self.pair_slot].astype(np.int64)
-        claimed_vid = col.claim_vid[self.pair_claim].astype(np.int64)
+        self._claim_claimant = col.claim_claimant
+        self._slot_vid = col.slot_vid
+        self._claim_vid = col.claim_vid
+        self._n_values = len(col.values)
+
+    def __getattr__(self, name: str):
+        # Only reached when ``name`` is not yet in the instance dict.
+        builder = type(self)._LAZY_TABLES.get(name)
+        if builder is None:
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}"
+            )
+        getattr(self, builder)()
+        return self.__dict__[name]
+
+    def _build_factorization(self) -> None:
+        n_values = max(self._n_values, 1)
+        claimant = self._claim_claimant[self.pair_claim]
+        truth_vid = self._slot_vid[self.pair_slot]
+        claimed_vid = self._claim_vid[self.pair_claim]
         total_key = claimant * n_values + truth_vid
         cell_key = total_key * n_values + claimed_vid
         self.cells, self.cell_index = np.unique(cell_key, return_inverse=True)
         self.totals, self.total_index = np.unique(total_key, return_inverse=True)
         self.n_cells = len(self.cells)
         self.n_totals = len(self.totals)
-
-        #: Current value id -> the id its keys were first factorized under,
-        #: and the key radix. A value re-rank or a brand-new value (slot
-        #: growth) composes these in :meth:`spliced_slot_growth` so
-        #: existing cell keys never move.
-        self.value_stable = np.arange(len(col.values), dtype=np.int64)
-        self.n_value_stable = len(col.values)
-        self.value_base = n_values
-        # Sorted (keys, ids) views for O(log) key resolution in `spliced`;
-        # a cold table is already key-sorted, so these share its arrays.
-        self._cell_lookup = (self.cells, np.arange(self.n_cells, dtype=np.intp))
-        self._total_lookup = (self.totals, np.arange(self.n_totals, dtype=np.intp))
-
-    @classmethod
-    def spliced(
-        cls,
-        old: "PairExpansion",
-        col: "ColumnarClaims",
-        inserted_claims: np.ndarray,
-    ) -> "PairExpansion":
-        """An expansion for ``col``, equivalent to ``PairExpansion(col)`` —
-        identical pair layout, identical cell partition up to the id
-        relabeling described in the class docstring — built by splicing
-        ``old`` instead of re-factorizing every pair.
-
-        ``old`` must be the expansion of the predecessor encoding and
-        ``inserted_claims`` the (sorted) claim rows of ``col`` that did not
-        exist in it. The caller (:meth:`ColumnarAppender.extend`) guarantees
-        the preconditions: the slot layout and value ids are unchanged, so
-        every *old* pair row — slots, claimed flags, confusion cell ids —
-        is still valid verbatim and is relocated with O(delta) *slice*
-        copies; only the appended claims' pair rows are computed, resolved
-        against the sorted key lookup, with genuinely new cells appended at
-        the end of the table. No O(pairs) gather or sort anywhere. Claimant
-        ids never move under an append, so the keys are built from the
-        current ids.
-        """
-        PAIR_EXPANSION_STATS["spliced"] += 1
-        new = cls.__new__(cls)
-        sizes_per_claim = col.sizes[col.claim_obj]
-        offsets = np.concatenate(([0], np.cumsum(sizes_per_claim))).astype(np.int64)
-        n_old = len(old.pair_claim)
-        ins_sizes = sizes_per_claim[inserted_claims]
-
-        # The appended claims form O(delta) contiguous pair runs, so every
-        # old array is relocated as one ``np.concatenate`` over alternating
-        # old-segment views and inserted chunks (memcpy speed, one C call
-        # per array) — per-element fancy scatters over the whole pair table
-        # would cost more than the np.unique this method exists to avoid.
-        cum = np.cumsum(ins_sizes)
-        seg = np.concatenate(
-            ([0], offsets[inserted_claims] - cum + ins_sizes, [n_old])
-        ).tolist()
-        ib = np.concatenate(([0], cum)).tolist()
-        slices = []
-        for k in range(len(inserted_claims)):
-            slices.append((seg[k], seg[k + 1], False))
-            slices.append((ib[k], ib[k + 1], True))
-        slices.append((seg[-2], seg[-1], False))
-
-        def cat(old_arr: np.ndarray, ins_vals: np.ndarray) -> np.ndarray:
-            return np.concatenate(
-                [(ins_vals if is_ins else old_arr)[a:b] for a, b, is_ins in slices]
-            )
-
-        # Inserted rows' values, all derivable without the spliced arrays.
-        ins_claim_of_row = np.repeat(inserted_claims, ins_sizes)
-        ins_slot = csr_expand(col.value_offsets[col.claim_obj[inserted_claims]], ins_sizes)
-        ins_size_vals = np.repeat(ins_sizes.astype(np.float64), ins_sizes)
-        ins_claimed = ins_slot == col.claim_slot[ins_claim_of_row]
-
-        # Confusion keys for the appended pairs only, under stable value ids.
-        # No slot change means no new values and no value re-rank, but a
-        # *previous* growth splice may have left the keys under non-identity
-        # stable value ids / a wider radix — carry both forward.
-        new.value_stable = old.value_stable
-        new.n_value_stable = old.n_value_stable
-        new.value_base = old.value_base
-        vstable = old.value_stable
-        base = old.value_base
-        total_key_ins = (
-            col.claim_claimant[ins_claim_of_row] * base
-            + vstable[col.slot_vid[ins_slot]]
-        )
-        cell_key_ins = total_key_ins * base + vstable[col.claim_vid[ins_claim_of_row]]
-
-        new.cells, cell_ins_ids, new._cell_lookup = _resolve_pair_keys(
-            old._cell_lookup, old.cells, cell_key_ins
-        )
-        new.totals, total_ins_ids, new._total_lookup = _resolve_pair_keys(
-            old._total_lookup, old.totals, total_key_ins
-        )
-        new.n_cells = len(new.cells)
-        new.n_totals = len(new.totals)
-
-        new.pair_claim = np.repeat(
-            np.arange(len(col.claim_obj), dtype=np.int64), sizes_per_claim
-        )
-        new.pair_slot = cat(old.pair_slot, ins_slot)
-        # |Vo| never changes under the slot-layout precondition, so the old
-        # per-pair sizes are verbatim valid.
-        new.pair_size = cat(old.pair_size, ins_size_vals)
-        new.pair_is_claimed = cat(old.pair_is_claimed, ins_claimed)
-        new.cell_index = cat(old.cell_index, cell_ins_ids)
-        new.total_index = cat(old.total_index, total_ins_ids)
-        return new
-
-    @classmethod
-    def spliced_slot_growth(
-        cls,
-        old: "PairExpansion",
-        col: "ColumnarClaims",
-        prev_col: "ColumnarClaims",
-        inserted_claims: np.ndarray,
-        value_remap: Optional[np.ndarray] = None,
-    ) -> "PairExpansion":
-        """The splice for extensions that *grow the slot layout* — appended
-        objects or brand-new candidate values, the case :meth:`spliced`'s
-        precondition excludes and the appender used to rebuild cold.
-
-        Growth shifts every later pair's slot id and re-sizes every grown
-        claim's pair run, so the cheap layout arrays (``pair_slot``,
-        ``pair_size``, ...) are recomputed wholesale with the same O(pairs)
-        vectorized expressions as a cold build. What the splice preserves is
-        the expensive part: the confusion-cell *factorization*. Candidates
-        are append-only per object and objects append at the tail, so an old
-        claim's old pair run maps onto the head of its new run with the same
-        (truth candidate, claimed value) at every position — the old
-        ``cell_index`` / ``total_index`` entries are still exactly right and
-        are relocated with one scatter. Only the genuinely fresh rows (tail
-        candidates of grown objects' claims, plus the inserted claims' full
-        runs) pay key resolution against the sorted lookup.
-
-        ``value_remap`` composes a value re-rank (an insert pulling a
-        value's first occurrence forward) into :attr:`value_stable`.
-        Claimant ids never move, so keys use them as they are. When the
-        stable value ids outgrow the key radix, the O(cells) key tables are
-        re-encoded under a wider base — order-preserving, so the sorted
-        lookups stay sorted.
-        """
-        PAIR_EXPANSION_STATS["spliced_slot_growth"] += 1
-        new = cls.__new__(cls)
-
-        # --- stable value ids: extend with the appended values, then compose
-        # the re-rank (stable[new id] = stable the value already had) so
-        # every existing key — hence every existing cell id — stays put.
-        n_vadded = len(col.values) - len(old.value_stable)
-        if n_vadded:
-            vprov = np.concatenate(
-                [old.value_stable, old.n_value_stable + np.arange(n_vadded, dtype=np.int64)]
-            )
-        else:
-            vprov = old.value_stable
-        if value_remap is not None:
-            vstable = np.empty_like(vprov)
-            vstable[value_remap] = vprov
-        else:
-            vstable = vprov
-        new.value_stable = vstable
-        new.n_value_stable = old.n_value_stable + n_vadded
-
-        # --- widen the key radix (with headroom) when stable value ids
-        # outgrow it; re-encoding keys under a larger base preserves the
-        # (claimant, truth, claimed) lexicographic order, so the sorted
-        # lookups stay sorted and old ids stay put.
-        base = old.value_base
-        cells, totals = old.cells, old.totals
-        cell_lookup, total_lookup = old._cell_lookup, old._total_lookup
-        if new.n_value_stable > base:
-            wider = max(2 * base, new.n_value_stable)
-
-            def rekey_cells(keys: np.ndarray) -> np.ndarray:
-                c, rem = np.divmod(keys, base * base)
-                t, v = np.divmod(rem, base)
-                return (c * wider + t) * wider + v
-
-            def rekey_totals(keys: np.ndarray) -> np.ndarray:
-                c, t = np.divmod(keys, base)
-                return c * wider + t
-
-            cells = rekey_cells(cells)
-            totals = rekey_totals(totals)
-            cell_lookup = (rekey_cells(cell_lookup[0]), cell_lookup[1])
-            total_lookup = (rekey_totals(total_lookup[0]), total_lookup[1])
-            base = wider
-        new.value_base = base
-
-        # --- layout arrays, recomputed wholesale (the cheap half of a cold
-        # build; the growth moved every later slot id, so per-row adjustment
-        # would cost the same O(pairs) anyway).
-        sizes_per_claim = col.sizes[col.claim_obj]
-        n_claims_new = len(col.claim_obj)
-        new.pair_claim = np.repeat(
-            np.arange(n_claims_new, dtype=np.int64), sizes_per_claim
-        )
-        new.pair_slot = csr_expand(col.value_offsets[col.claim_obj], sizes_per_claim)
-        new.pair_size = sizes_per_claim[new.pair_claim].astype(np.float64)
-        new.pair_is_claimed = new.pair_slot == col.claim_slot[new.pair_claim]
-
-        # --- relocate the old cell/total ids: old claim k is the k-th kept
-        # claim of the new table (inserts preserve relative order), and its
-        # old pair run lands on the first |Vo_old| rows of its new run.
-        new_offsets = np.concatenate(([0], np.cumsum(sizes_per_claim))).astype(np.int64)
-        keep = np.ones(n_claims_new, dtype=bool)
-        keep[inserted_claims] = False
-        old_sizes = prev_col.sizes[prev_col.claim_obj]
-        dst = csr_expand(new_offsets[:-1][keep], old_sizes)
-        n_pairs_new = int(new_offsets[-1])
-        cell_index = np.empty(n_pairs_new, dtype=old.cell_index.dtype)
-        total_index = np.empty(n_pairs_new, dtype=old.total_index.dtype)
-        cell_index[dst] = old.cell_index
-        total_index[dst] = old.total_index
-        fresh = np.ones(n_pairs_new, dtype=bool)
-        fresh[dst] = False
-        fresh_rows = np.flatnonzero(fresh)
-
-        # --- only the fresh rows pay key resolution.
-        f_claim = new.pair_claim[fresh_rows]
-        total_key_f = (
-            col.claim_claimant[f_claim] * base
-            + vstable[col.slot_vid[new.pair_slot[fresh_rows]]]
-        )
-        cell_key_f = total_key_f * base + vstable[col.claim_vid[f_claim]]
-        new.cells, cell_f_ids, new._cell_lookup = _resolve_pair_keys(
-            cell_lookup, cells, cell_key_f
-        )
-        new.totals, total_f_ids, new._total_lookup = _resolve_pair_keys(
-            total_lookup, totals, total_key_f
-        )
-        new.n_cells = len(new.cells)
-        new.n_totals = len(new.totals)
-        cell_index[fresh_rows] = cell_f_ids
-        total_index[fresh_rows] = total_f_ids
-        new.cell_index = cell_index
-        new.total_index = total_index
-        return new
 
 
 class SlotPairExpansion:
@@ -609,9 +358,10 @@ class FrontierView(SegmentOps):
 
     The per-claim candidate cross-join is rebuilt locally in O(frontier
     pairs); the confusion-cell ids (:attr:`cell_index` / :attr:`total_index`)
-    are *gathered* from the full :class:`PairExpansion` via :attr:`pair_rows`
-    on first use, so they share the global tables' id space — required for
-    patching the previous round's cell reductions in place.
+    are *gathered* from the encoding's :class:`PairExpansion` via
+    :attr:`pair_rows` on first use, so they share its id space — the
+    frontier's per-iteration cell reductions are added to base reductions
+    that the DS/LFC incremental fit computes over that same expansion.
     """
 
     def __init__(self, col: "ColumnarClaims", obj_ids: np.ndarray) -> None:
@@ -1473,7 +1223,6 @@ class ColumnarAppender:
         # ---- slot arrays: untouched when the delta is answers-only (the
         # crowdsourcing hot path); otherwise splice the new candidate slots
         # and rebuild the touched objects' hierarchy CSR blocks.
-        value_remap = None
         if slot_changed:
             added_values: List = []
             added_value_index: Dict = {}
@@ -1542,7 +1291,6 @@ class ColumnarAppender:
                 values = [values[i] for i in vorder]
                 value_index = {value: i for i, value in enumerate(values)}
                 vfirst = vfirst[vorder]
-                value_remap = vremap  # provisional id -> re-ranked id
 
             # Slot-level ancestor CSR: keep untouched objects' blocks (slot
             # ids shifted by their object's new start), rebuild touched ones
@@ -1630,23 +1378,11 @@ class ColumnarAppender:
         new._slot_anc_slots = slot_anc_slots
         new._obj_has_hierarchy = obj_has_hierarchy
         new._tree = col._tree
-        # Pair expansion: an already-built cross-join is carried forward on
-        # every append instead of being re-factorized on the next fit. When
-        # the slot layout is untouched (answers, or records re-claiming
-        # existing candidates) only the appended claims' pair rows are
-        # computed; slot growth (new objects / brand-new candidate values)
-        # takes the heavier `spliced_slot_growth` path, which recomputes the
-        # pair layout but keeps the confusion-cell factorization. Either
-        # way the cold `np.unique` never reruns (PAIR_EXPANSION_STATS
-        # observes this); a never-built expansion stays lazy.
-        if col._pairs is None:
-            new._pairs = None
-        elif slot_changed:
-            new._pairs = PairExpansion.spliced_slot_growth(
-                col._pairs, new, col, final_ins, value_remap=value_remap
-            )
-        else:
-            new._pairs = PairExpansion.spliced(col._pairs, new, final_ins)
+        # The claim x candidate expansion is not carried: most fits after an
+        # append never read the whole-corpus one (incremental fits build
+        # their frontier's pairs locally), so the next reader builds it once
+        # at this encoding's size.
+        new._pairs = None
         # The claimant -> objects CSR is slot-independent, so a built index
         # is spliced forward on every append (the frontier computation of
         # the incremental EM fits relies on this staying O(delta + tables)).

@@ -26,12 +26,7 @@ from oracles import EAIOracle, TDHOracle
 from repro.assignment import EAIAssigner
 from repro.crowd.simulator import CrowdSimulator
 from repro.crowd.workers import make_worker_pool
-from repro.data.columnar import (
-    PAIR_EXPANSION_STATS,
-    ColumnarAppender,
-    ColumnarClaims,
-    StaleEncodingError,
-)
+from repro.data.columnar import ColumnarAppender, ColumnarClaims, StaleEncodingError
 from repro.data.model import Answer, DatasetError, Record, TruthDiscoveryDataset
 from repro.datasets import make_birthplaces
 from repro.hierarchy.tree import Hierarchy
@@ -466,113 +461,87 @@ def test_crowd_loop_engines_agree_exactly():
 
 
 # ---------------------------------------------------------------------------
-# incremental PairExpansion splicing
+# the pair expansion across appends
 # ---------------------------------------------------------------------------
-PAIR_LAYOUT_ARRAYS = (
+PAIR_ARRAYS = (
     "pair_claim",
     "pair_slot",
     "pair_size",
     "pair_is_claimed",
+    "cells",
+    "cell_index",
+    "totals",
+    "total_index",
 )
 
 
-def canonical_labels(index: np.ndarray) -> np.ndarray:
-    """Relabel dense ids by first occurrence — the invariant representation
-    of a cell partition (spliced expansions keep ids append-stable, cold
-    builds use np.unique order; EM is bitwise-identical under either)."""
-    uniq, first, inv = np.unique(index, return_index=True, return_inverse=True)
-    rank = np.empty(len(uniq), dtype=np.int64)
-    rank[np.argsort(first)] = np.arange(len(uniq))
-    return rank[inv]
-
-
-def assert_pairs_equal(spliced, cold, col) -> None:
-    """Pair layout exactly equal; confusion factorization equal up to the
-    documented id relabeling (same partition, and the keys decode back to
-    the cold build's key set)."""
-    for name in PAIR_LAYOUT_ARRAYS:
+def assert_pairs_equal(lazy, cold) -> None:
+    """Every array equal, cell ids included: both sides are cold builds."""
+    for name in PAIR_ARRAYS:
         np.testing.assert_array_equal(
-            getattr(spliced, name), getattr(cold, name), err_msg=f"pairs.{name}"
+            getattr(lazy, name), getattr(cold, name), err_msg=f"pairs.{name}"
         )
-    assert spliced.n_cells == cold.n_cells
-    assert spliced.n_totals == cold.n_totals
-    np.testing.assert_array_equal(
-        canonical_labels(spliced.cell_index), canonical_labels(cold.cell_index)
-    )
-    np.testing.assert_array_equal(
-        canonical_labels(spliced.total_index), canonical_labels(cold.total_index)
-    )
-    # Keys hold current claimant ids (they never move) and stable value ids,
-    # which decode back to the current ones: the key sets match. Each
-    # expansion carries its own radix (`value_base`, widened on slot-growth
-    # splices) and its own stable value table, so decode both sides into
-    # current-id triples before comparing.
-    nv = max(len(col.values), 1)
-
-    def decode(exp, keys, with_claimed):
-        cur_v = np.full(exp.n_value_stable, -1, dtype=np.int64)
-        cur_v[exp.value_stable] = np.arange(len(col.values))
-        base = exp.value_base
-        if with_claimed:
-            c, rem = np.divmod(keys, base * base)
-            t, v = np.divmod(rem, base)
-            return (c * nv + cur_v[t]) * nv + cur_v[v]
-        c, t = np.divmod(keys, base)
-        return c * nv + cur_v[t]
-
-    np.testing.assert_array_equal(
-        np.sort(decode(spliced, spliced.cells, True)),
-        np.sort(decode(cold, cold.cells, True)),
-    )
-    np.testing.assert_array_equal(
-        np.sort(decode(spliced, spliced.totals, False)),
-        np.sort(decode(cold, cold.totals, False)),
-    )
+    assert lazy.n_cells == cold.n_cells
+    assert lazy.n_totals == cold.n_totals
 
 
 def test_version_stable_encoding_reuses_cached_expansion():
     """Satellite regression: fits with no mutation in between must reuse the
-    cached claim x candidate expansion — zero rebuilds, same object."""
+    cached claim x candidate expansion — same object."""
     ds = make_birthplaces(size=250, seed=7)
     col = ds.columnar()
     first = col.pairs
-    cold_builds = PAIR_EXPANSION_STATS["cold_builds"]
     assert ds.columnar() is col
     assert ds.columnar().pairs is first  # same encoding -> same expansion
     model = TDHModel(max_iter=3)
     model.fit(ds)
     model.fit(ds)  # back-to-back fits, no mutation
     assert ds.columnar().pairs is first
-    assert PAIR_EXPANSION_STATS["cold_builds"] == cold_builds
 
 
-def test_answers_only_append_splices_instead_of_rebuilding():
-    """The crowdsourcing hot path: appending answers from known workers must
-    carry the expansion across the appender splice with no np.unique pass."""
-    ds = make_birthplaces(size=250, seed=7)
-    rng = np.random.default_rng(1)
-    # Introduce the worker panel first, so later rounds add no claimants.
-    for i, obj in enumerate(ds.objects[:6]):
-        ds.add_answer(Answer(obj, f"w{i % 3}", ds.candidates(obj)[0]))
-    col = ds.columnar()
-    _ = col.pairs
-    cold_builds = PAIR_EXPANSION_STATS["cold_builds"]
+def _append_answers(ds):
     for i, obj in enumerate(ds.objects[10:60]):
-        cands = ds.candidates(obj)
-        ds.add_answer(Answer(obj, f"w{i % 3}", cands[int(rng.integers(len(cands)))]))
+        ds.add_answer(Answer(obj, f"w{i % 3}", ds.candidates(obj)[0]))
+
+
+def _grow_first_object(ds):
+    first_obj = ds.objects[0]
+    tree_value = next(
+        v for v in ds.hierarchy.non_root_nodes()
+        if v not in ds.candidates(first_obj)
+    )
+    ds.add_record(Record(first_obj, ds.sources_of(first_obj)[0] + "_alt", tree_value))
+
+
+def _add_object(ds):
+    ds.add_record(Record("appended_object", "appended_source", ds.candidates(ds.objects[0])[0]))
+
+
+@pytest.mark.parametrize(
+    "append",
+    [_append_answers, _grow_first_object, _add_object],
+    ids=["answers", "new-candidate-value", "new-object"],
+)
+def test_appended_encoding_builds_its_own_pair_expansion(append):
+    """The appender does not carry a built expansion forward: the appended
+    encoding starts without one, and the one it builds on first access is
+    a cold build, equal to a cold encoding's in every array."""
+    ds = make_birthplaces(size=120, seed=7)
+    col = ds.columnar()
+    _ = col.pairs.cell_index  # layout and factorization both built
+    append(ds)
     appended = ds.columnar()
     assert appended is not col
-    assert appended._pairs is not None  # spliced eagerly, not rebuilt lazily
-    assert PAIR_EXPANSION_STATS["cold_builds"] == cold_builds
-    assert_pairs_equal(appended.pairs, ColumnarClaims(ds).pairs, appended)
+    assert appended._pairs is None
+    assert_pairs_equal(appended.pairs, ColumnarClaims(ds).pairs)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_pair_splice_matches_cold_under_random_interleavings(seed):
+def test_lazy_pair_expansion_matches_cold_under_random_interleavings(seed):
     """Property test: whatever interleaving of appends hits the encoding,
-    the maintained expansion equals a cold factorization at every
-    checkpoint — whether it was spliced (with or without slot growth) or,
-    after an overwrite, rebuilt."""
+    the expansion it builds equals a cold encoding's at every checkpoint,
+    whether the encoding was appended, restamped or, after an overwrite,
+    rebuilt."""
     rng = np.random.default_rng(seed)
     tree = make_tree()
     values = tree_values(tree)
@@ -589,58 +558,23 @@ def test_pair_splice_matches_cold_under_random_interleavings(seed):
         else:
             # Fresh source per step: a genuine append (an in-place overwrite
             # changing an existing source's value can strand earlier answers
-            # outside Vo, which no encoding — cold or spliced — can express).
+            # outside Vo, which no encoding can express).
             ds.add_record(
                 Record(obj, f"s{step}", values[int(rng.integers(len(values)))])
             )
         if rng.random() < 0.3:
-            col_now = ds.columnar()
-            assert_pairs_equal(col_now.pairs, ColumnarClaims(ds).pairs, col_now)
-    col_now = ds.columnar()
-    assert_pairs_equal(col_now.pairs, ColumnarClaims(ds).pairs, col_now)
+            assert_pairs_equal(ds.columnar().pairs, ColumnarClaims(ds).pairs)
+    assert_pairs_equal(ds.columnar().pairs, ColumnarClaims(ds).pairs)
 
 
-def test_new_worker_on_first_object_appends_at_tail_and_splices():
+def test_new_worker_on_first_object_appends_at_tail():
     """A brand-new worker answering the very first object takes the next id
-    at the tail of the claimant table — no existing claimant moves — and the
-    expansion is spliced with no cold factorization."""
+    at the tail of the claimant table — no existing claimant moves."""
     ds = make_birthplaces(size=120, seed=7)
     col = ds.columnar()
     _ = col.pairs
-    stats = dict(PAIR_EXPANSION_STATS)
     first_obj = ds.objects[0]
     ds.add_answer(Answer(first_obj, "brand_new_worker", ds.candidates(first_obj)[0]))
     appended = ds.columnar()
     assert appended.claimants == col.claimants + [("worker", "brand_new_worker")]
-    assert appended._pairs is not None
-    assert PAIR_EXPANSION_STATS["cold_builds"] == stats["cold_builds"]
-    assert PAIR_EXPANSION_STATS["spliced"] == stats["spliced"] + 1
-    assert_pairs_equal(appended.pairs, ColumnarClaims(ds).pairs, appended)
-
-
-def test_new_candidate_value_splices_slot_growth():
-    """A record growing a candidate set moves every later slot — the delta
-    the old splice could not express and the cold-fallback cliff this PR
-    removes. The expansion is now carried across slot growth: layout arrays
-    are recomputed from the (O(delta)-spliced) encoding, old cell ids are
-    relocated onto the surviving rows, and only genuinely fresh pairs pay a
-    key lookup. No np.unique factorization runs, and the observable counter
-    records the splice instead of a silent rebuild."""
-    ds = make_birthplaces(size=120, seed=7)
-    col = ds.columnar()
-    _ = col.pairs
-    before = dict(PAIR_EXPANSION_STATS)
-    first_obj = ds.objects[0]
-    tree_value = next(
-        v for v in ds.hierarchy.non_root_nodes()
-        if v not in ds.candidates(first_obj)
-    )
-    ds.add_record(Record(first_obj, ds.sources_of(first_obj)[0] + "_alt", tree_value))
-    grown = ds.columnar()
-    assert grown._pairs is not None  # spliced eagerly, not dropped
-    assert (
-        PAIR_EXPANSION_STATS["spliced_slot_growth"]
-        == before["spliced_slot_growth"] + 1
-    )
-    assert PAIR_EXPANSION_STATS["cold_builds"] == before["cold_builds"]
-    assert_pairs_equal(grown.pairs, ColumnarClaims(ds).pairs, grown)
+    assert_pairs_equal(appended.pairs, ColumnarClaims(ds).pairs)

@@ -7,9 +7,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.data.columnar import ColumnarClaims
+from repro.data.columnar import ColumnarClaims, PairExpansion
 from repro.data.model import Answer, Record
 from repro.datasets import make_heritages
+from repro.inference import DawidSkene, TDHModel
 
 
 @pytest.fixture()
@@ -97,6 +98,26 @@ def test_pair_expansion_shape(dataset):
     assert int(pairs.pair_is_claimed.sum()) == col.n_claims
     assert pairs.n_cells <= expected_rows
     assert pairs.n_totals <= pairs.n_cells
+
+
+def test_pair_factorization_is_built_on_first_access(dataset):
+    """TDH reads only the pair layout, so its fit leaves the confusion-cell
+    factorization unbuilt; a Dawid-Skene fit builds all of it, equal to a
+    fresh expansion's."""
+    factorization = ("cells", "cell_index", "totals", "total_index")
+    TDHModel().fit(dataset)
+    col = dataset.columnar()
+    assert col._pairs is not None
+    assert not set(factorization) & set(vars(col.pairs))
+    # No reference back to the encoding: a col -> pairs -> col cycle would
+    # keep superseded encodings alive until the cycle collector runs.
+    assert not any(value is col for value in vars(col.pairs).values())
+    DawidSkene().fit(dataset)
+    assert dataset.columnar() is col
+    fresh = PairExpansion(col)
+    for name in factorization:
+        assert name in vars(col.pairs)
+        np.testing.assert_array_equal(getattr(col.pairs, name), getattr(fresh, name))
 
 
 def test_cache_reuse_and_invalidation(dataset):

@@ -788,6 +788,37 @@ def test_tdh_incremental_reuses_and_patches_em_state():
     assert worst < 0.5  # case-responsibility mass, claimant-level
 
 
+def test_tdh_incremental_fits_never_build_the_pair_expansion():
+    """An incremental TDH fit builds its frontier's pairs locally, so the
+    encoding it runs on never builds the whole-corpus claim x candidate
+    expansion, although the warm fit's encoding had built one: not after
+    answers, not after a record naming a new object, not after a record
+    adding a candidate value."""
+    ds = _sparse_heritages()
+    model = TDHModel(incremental=True)
+    result = model.fit(ds)
+    assert result.columnar_state[0]._pairs is not None  # the full fit's
+    rng = np.random.default_rng(5)
+    objects = list(ds.objects)
+    for batch in range(9):
+        obj = objects[int(rng.integers(len(objects)))]
+        if batch % 3 == 0:
+            for i in range(5):
+                obj = objects[int(rng.integers(len(objects)))]
+                cands = ds.candidates(obj)
+                value = cands[int(rng.integers(len(cands)))]
+                ds.add_answer(Answer(obj, f"fresh-w{batch}-{i}", value))
+        elif batch % 3 == 1:
+            ds.add_record(
+                Record(f"new-obj-{batch}", f"new-src-{batch}", ds.candidates(obj)[0])
+            )
+        else:
+            _grow_candidate_set(ds, obj, f"grow-src-{batch}")
+        result = model.fit(ds, warm_start=result)
+        assert result.frontier_size is not None  # served incrementally
+        assert result.columnar_state[0]._pairs is None
+
+
 def test_incremental_without_warm_or_disabled_is_cold():
     ds = _sparse_heritages()
     model = TDHModel(max_iter=15, incremental=True)
