@@ -557,6 +557,7 @@ class ColumnarClaims(SegmentOps):
         self._slot_pairs: Optional[SlotPairExpansion] = None
         self._hierarchy: Optional["ColumnarHierarchy"] = None
         self._claimant_objects: Optional[ClaimantObjectsIndex] = None
+        self._popularity: Dict[bool, Tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
         # Appender bookkeeping: first slot per value (maintained across
         # appends so the value re-rank stays O(delta + tables)); a reusable
         # Euler tour.
@@ -733,7 +734,14 @@ class ColumnarClaims(SegmentOps):
         ``Pop3`` weighting has exactly one implementation.
         ``use_hierarchy=False`` (the ablation) zeroes the ancestor mass
         without building the hierarchy view.
+
+        Computed once per encoding and flag and returned read-only; an
+        append that adds no record carries the result forward, since
+        answers move neither the source counts nor the slot layout.
         """
+        cached = self._popularity.get(use_hierarchy)
+        if cached is not None:
+            return cached
         counts = self.record_counts()
         if use_hierarchy:
             hier = self.hierarchy
@@ -746,6 +754,9 @@ class ColumnarClaims(SegmentOps):
         else:
             pop2 = np.zeros(self.n_slots, dtype=np.float64)
         pop3 = self.segment_sum(counts)[self.slot_obj] - counts - pop2
+        for arr in (counts, pop2, pop3):
+            arr.flags.writeable = False
+        self._popularity[use_hierarchy] = (counts, pop2, pop3)
         return counts, pop2, pop3
 
     def initial_confidences_flat(self) -> np.ndarray:
@@ -1398,6 +1409,9 @@ class ColumnarAppender:
             new._claimant_objects = None
         new._slot_pairs = slot_pairs
         new._hierarchy = hierarchy
+        # Any record moves the source counts, even one naming an existing
+        # candidate (which leaves the slots unchanged); answers move neither.
+        new._popularity = {} if record_ops else dict(col._popularity)
         new._value_first = vfirst
         new._tour_hint = tour_hint
         new._lineage_token = getattr(dataset, "_lineage", None)

@@ -104,7 +104,7 @@ class TDHResult(InferenceResult):
             Tuple[ColumnarClaims, np.ndarray, np.ndarray, np.ndarray]
         ] = None
         #: Set by the fit: ``{"g_sums": (n_claimants, 3),
-        #: "trust": (n_claimants, 3)}`` — the final iteration's per-claimant
+        #: "trust": (n_claimants, 3)}`` — the last E/M evaluation's per-claimant
         #: case responsibility sums and trust rows, indexed by the encoding's
         #: claimant ids. Those ids never move under an append, so they are a
         #: prefix of every later encoding's: the incremental fit patches
@@ -198,6 +198,41 @@ def _trust_m_step(g, prior_m1, prior_m1_sum, prior_mean):
     return np.where(ok, vec, prior_mean)
 
 
+def _squarem_point(x0, x1, x2, step_max, mu_floor, slot_obj, n_objects):
+    """The SQUAREM extrapolation (Varadhan & Roland 2008, scheme S3) of the
+    EM iterates ``x0 -> x1 -> x2``, each a ``(mu, trust block)`` pair:
+    ``x0 + 2 a r + a^2 v`` with ``r = x1 - x0``, ``v = x2 - x1 - r`` and the
+    step ``a = |r| / |v|`` clamped to ``[1, step_max]``, projected back onto
+    the simplices. Returns the point and the next ``step_max``, which grows
+    4x each time the clamp binds (the SQUAREM package's default). A step of
+    1 *is* ``x2``, which is also taken when ``v`` vanishes or the
+    extrapolation is not finite.
+
+    ``mu`` is clipped at ``mu_floor``, the smallest value the Eq. 9 update
+    gives each slot, and renormalised per object (``slot_obj`` numbers the
+    objects ``0 .. n_objects - 1``); the trust block is clipped and
+    renormalised per column as :func:`_trust_m_step` does.
+    """
+    r = [b - a for a, b in zip(x0, x1)]
+    v = [c - b - d for b, c, d in zip(x1, x2, r)]
+    sv = sum(float(np.vdot(d, d)) for d in v)
+    if not sv > 0:
+        return x2, step_max
+    step = min(max(np.sqrt(sum(float(np.vdot(d, d)) for d in r) / sv), 1.0), step_max)
+    if step == step_max:
+        step_max *= 4.0
+    if step == 1.0:
+        return x2, step_max
+    mu, trust = (a + 2.0 * step * d + step * step * e for a, d, e in zip(x0, r, v))
+    mu = np.maximum(mu, mu_floor)
+    mu /= np.bincount(slot_obj, weights=mu, minlength=n_objects)[slot_obj]
+    trust = np.maximum(trust, 1e-12)
+    trust /= trust[0] + trust[1] + trust[2]
+    if not (np.isfinite(mu).all() and np.isfinite(trust).all()):
+        return x2, step_max
+    return (mu, trust), step_max
+
+
 class TDHModel(TruthInferenceAlgorithm):
     """The paper's hierarchical truth-inference EM.
 
@@ -211,7 +246,10 @@ class TDHModel(TruthInferenceAlgorithm):
         applied to every candidate value.
     max_iter, tol:
         EM stopping rule — stop when the largest absolute confidence change
-        falls below ``tol`` or after ``max_iter`` iterations.
+        falls below ``tol`` or after ``max_iter`` iterations. On the
+        incremental path an iteration is one E/M evaluation: SQUAREM
+        extrapolates between evaluations, and the same rule is tested
+        after each one.
     use_hierarchy:
         Ablation switch: ``False`` collapses the model to two interpretations
         (exact / wrong), i.e. the hierarchy-blind variant the paper argues
@@ -522,11 +560,20 @@ class TDHModel(TruthInferenceAlgorithm):
     ) -> Optional[TDHResult]:
         """Warm-started frontier re-convergence; ``None`` -> run the full fit.
 
-        Per EM iteration only the frontier's E-step runs (the full fit's
+        Per E/M evaluation only the frontier's E-step runs (the full fit's
         :func:`_tdh_estep_kernel` over a
         :class:`~repro.data.columnar.FrontierView`), followed by
         :func:`_trust_m_step` — both on the frontier claimants' own ``(3,
         k)`` trust block, the ``k`` claimants with a claim on the frontier.
+        The evaluations are accelerated with SQUAREM (Varadhan & Roland,
+        *Scand. J. Stat.* 35, 2008; scheme S3, see :func:`_squarem_point`):
+        each cycle of two evaluations extrapolates along their difference,
+        and a third evaluates from the projected point. ``iterations``
+        counts evaluations, ``max_iter`` caps them, and the stop rule is
+        tested after each one. The stored state is always the last
+        evaluation's output, so every stored trust row is still the M-step
+        of its ``g_sums`` row and ``mu`` the Eq. 9 ratio of the stored
+        numerators and denominators.
         Their case sums are patched as ``base + frontier``. ``base`` is the
         previous round's stored totals minus what the frontier's
         pre-existing claims contributed to them, evaluated with the warm
@@ -550,7 +597,10 @@ class TDHModel(TruthInferenceAlgorithm):
         """
         state = warm_start.columnar_state
         em = warm_start.em_state
-        if state is None or em is None:
+        if state is None or em is None or self.max_iter < 1:
+            # With no evaluation to run, the frontier's case sums would be
+            # stored with its old claims subtracted and no M-step applied;
+            # the full fit stores no EM state at max_iter=0.
             return None
         plan = incremental_frontier(
             dataset,
@@ -654,18 +704,17 @@ class TDHModel(TruthInferenceAlgorithm):
             # E-step can never move mass onto a zero-prior slot.
             mu_f = np.where(plan.new_slot_mask[fv.slot_ids], uniform_slot, mu_f)
 
-        # One fused bincount per iteration: the three case rows live at
+        # One fused bincount per evaluation: the three case rows live at
         # offsets 0 / k / 2k of a single index array.
         claim_local_3 = np.concatenate(
             [claim_local + k * n_local_cids for k in range(3)]
         )
-
-        numer_f = numer_flat[fv.slot_ids]
         n_local_slots = fv.n_slots
-        iterations = 0
-        converged = False
-        g_local = base_g
-        for iterations in range(1, self.max_iter + 1):
+
+        def em_step(mu_f, block):
+            """One E/M evaluation from ``(mu_f, block)``: the updated
+            confidences and trust block, the Eq. 9 numerators, the patched
+            case sums and the largest confidence change."""
             f_sum, g1, g2, g3 = _tdh_estep_kernel(
                 fv, block, pair_local, claim_local, mu_f, *case_arrays
             )
@@ -674,18 +723,36 @@ class TDHModel(TruthInferenceAlgorithm):
                 weights=np.concatenate((g1, g2, g3)),
                 minlength=3 * n_local_cids,
             ).reshape(3, n_local_cids)
-            block = _trust_m_step(g_local, *priors_f)
-
             # Confidence M-step (Eq. 9) over the frontier slots only.
             numer_f = f_sum + gamma_minus_1
             new_mu_f = np.where(den_positive, numer_f / den_safe, uniform_slot)
             delta = (
                 float(np.max(np.abs(new_mu_f - mu_f))) if n_local_slots else 0.0
             )
-            mu_f = new_mu_f
+            return new_mu_f, _trust_m_step(g_local, *priors_f), numer_f, g_local, delta
+
+        # A SQUAREM cycle's phases: 0 evaluates x1 = F(x0); 1 evaluates
+        # x2 = F(x1) and extrapolates; 2 evaluates from the extrapolated
+        # point, and its output is the next cycle's x0.
+        mu_floor = np.where(den_positive, gamma_minus_1 / den_safe, uniform_slot)
+        step_max = 1.0
+        point = (mu_f, block)
+        converged = False
+        for iterations in range(1, self.max_iter + 1):
+            phase = (iterations - 1) % 3
+            if phase == 0:
+                x0 = point
+            mu_f, block, numer_f, g_local, delta = em_step(*point)
             if delta < self.tol:
                 converged = True
                 break
+            point = (mu_f, block)
+            if phase == 0:
+                x1 = point
+            elif phase == 1:
+                point, step_max = _squarem_point(
+                    x0, x1, point, step_max, mu_floor, fv.slot_obj, fv.n_objects
+                )
 
         mu[fv.slot_ids] = mu_f
         numer_flat[fv.slot_ids] = numer_f

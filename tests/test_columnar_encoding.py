@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from repro.data.columnar import ColumnarClaims, PairExpansion
+from repro.assignment import EAIAssigner
 from repro.data.model import Answer, Record
 from repro.datasets import make_heritages
 from repro.inference import DawidSkene, TDHModel
@@ -118,6 +119,42 @@ def test_pair_factorization_is_built_on_first_access(dataset):
     for name in factorization:
         assert name in vars(col.pairs)
         np.testing.assert_array_equal(getattr(col.pairs, name), getattr(fresh, name))
+
+
+def test_popularity_denominators_are_computed_once_per_encoding(monkeypatch):
+    """An incremental fit after records landed computes the Pop2/Pop3
+    denominators once, on the current encoding (the warm encoding kept the
+    previous fit's). After answers only, neither the fit nor an EAI
+    assignment on its result computes them: an answer moves neither the
+    source counts nor the slot layout. The shared arrays are read-only."""
+    ds = make_heritages(size=160, n_sources=350, seed=11)
+    model = TDHModel(incremental=True)
+    result = model.fit(ds)
+    computed = []
+    record_counts = ColumnarClaims.record_counts
+    monkeypatch.setattr(
+        ColumnarClaims,
+        "record_counts",
+        lambda col: computed.append(col) or record_counts(col),
+    )
+    obj = ds.objects[3]
+    ds.add_record(Record("late-object", "late-source", ds.candidates(obj)[0]))
+    ds.add_answer(Answer(obj, "w-late", ds.candidates(obj)[0]))
+    result = model.fit(ds, warm_start=result)
+    assert result.frontier_size is not None
+    assert len(computed) == 1 and computed[0] is result.columnar_state[0]
+
+    ds.add_answer(Answer(ds.objects[5], "w-later", ds.candidates(ds.objects[5])[0]))
+    result = model.fit(ds, warm_start=result)
+    assert result.frontier_size is not None
+    EAIAssigner().assign(ds, result, ["w-new"], 2)
+    assert len(computed) == 1
+
+    carried = result.columnar_state[0].popularity_denominators()
+    fresh = ColumnarClaims(ds).popularity_denominators()
+    for arr, expected in zip(carried, fresh):
+        assert not arr.flags.writeable
+        np.testing.assert_array_equal(arr, expected)
 
 
 def test_cache_reuse_and_invalidation(dataset):

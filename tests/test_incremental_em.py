@@ -650,6 +650,29 @@ def _sparse_substrate(seed):
     )
 
 
+def _serving_batches(dataset, rng, n_batches, claim):
+    """Apply ``n_batches`` batches of 64 writes in the serving benchmark's
+    shape to ``dataset``, yielding after each batch. A write is an answer
+    from a new worker on a uniformly drawn object (its gold truth w.p.
+    0.7), except every 16th, which adds the record ``claim(obj, n)``."""
+    objects = list(dataset.objects)
+    for n in range(n_batches * 64):
+        obj = objects[rng.integers(len(objects))]
+        if n % 16 == 15:
+            dataset.add_record(claim(obj, n))
+        else:
+            candidates = sorted(dataset.candidates(obj), key=str)
+            gold = dataset.gold[obj]
+            value = (
+                gold
+                if gold in candidates and rng.random() < 0.7
+                else candidates[rng.integers(len(candidates))]
+            )
+            dataset.add_answer(Answer(obj, f"w_{n}", value))
+        if n % 64 == 63:
+            yield
+
+
 def test_tdh_incremental_tracks_cold_when_claims_add_candidate_values():
     """80 batches of 64 writes, every 16th a claim adding a candidate value
     to an existing object, each batch one incremental fit as the service
@@ -661,35 +684,51 @@ def test_tdh_incremental_tracks_cold_when_claims_add_candidate_values():
     seed = 4
     rng = np.random.default_rng(seed)
     dataset = _sparse_substrate(seed)
-    objects = list(dataset.objects)
     nodes = list(dataset.hierarchy.non_root_nodes())
+
+    def new_value(obj, n):  # a new source names a value new to the object
+        value = next(
+            nodes[i]
+            for i in rng.permutation(len(nodes))
+            if nodes[i] not in dataset.candidates(obj)
+        )
+        return Record(obj, f"new_src_{n}", value)
+
     model = TDHModel(incremental=True)
     result = model.fit(dataset)
-    for n in range(80 * 64):
-        obj = objects[rng.integers(len(objects))]
-        if n % 16 == 15:  # a new source names a value new to the object
-            value = next(
-                nodes[i]
-                for i in rng.permutation(len(nodes))
-                if nodes[i] not in dataset.candidates(obj)
-            )
-            dataset.add_record(Record(obj, f"new_src_{n}", value))
-        else:  # an answer from a new worker: the gold truth w.p. 0.7
-            candidates = sorted(dataset.candidates(obj), key=str)
-            gold = dataset.gold[obj]
-            value = (
-                gold
-                if gold in candidates and rng.random() < 0.7
-                else candidates[rng.integers(len(candidates))]
-            )
-            dataset.add_answer(Answer(obj, f"w_{n}", value))
-        if n % 64 == 63:
-            result = model.fit(dataset, warm_start=result)
-            assert result.frontier_size is not None  # served incrementally
+    for _ in _serving_batches(dataset, rng, 80, new_value):
+        result = model.fit(dataset, warm_start=result)
+        assert result.frontier_size is not None  # served incrementally
     cold = TDHModel().fit(dataset.copy()).truths()
     served = result.truths()
     stale = [o for o, truth in cold.items() if served[o] != truth]
     assert len(stale) <= 5, stale
+
+
+def test_tdh_incremental_em_evaluations_stay_bounded():
+    """Work gate on the incremental loop: 20 serving batches (every 16th
+    write a new source naming a new object), one incremental fit each. The
+    evaluation count does not depend on the host's speed, only on its
+    floating point. SQUAREM reads a p50 of 21.5 and a max of 31 E/M
+    evaluations on this stream; plain EM read a p50 of 60, with one fit
+    stopped at ``max_iter``."""
+    seed = 4
+    rng = np.random.default_rng(seed)
+    dataset = _sparse_substrate(seed)
+    nodes = list(dataset.hierarchy.non_root_nodes())
+
+    def new_object(obj, n):
+        return Record(f"new_obj_{n}", f"new_src_{n}", nodes[rng.integers(len(nodes))])
+
+    model = TDHModel(incremental=True)
+    result = model.fit(dataset)
+    iterations = []
+    for _ in _serving_batches(dataset, rng, 20, new_object):
+        result = model.fit(dataset, warm_start=result)
+        assert result.frontier_size is not None  # served incrementally
+        assert result.converged and result.iterations < model.max_iter
+        iterations.append(result.iterations)
+    assert np.median(iterations) <= 36, iterations
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -829,6 +868,21 @@ def test_incremental_without_warm_or_disabled_is_cold():
     _add_random_answers(ds, 5, seed=1)
     result = off.fit(ds, warm_start=warm)  # knob off: warm but full EM
     assert result.frontier_size is None
+
+
+def test_tdh_incremental_with_max_iter_zero_runs_the_full_fit():
+    """With no evaluation allowed, the frontier's case sums would be stored
+    with its old claims subtracted and no M-step run, and the next
+    incremental fit would subtract them again. The full fit runs instead
+    and, at ``max_iter=0``, stores no EM state to warm-start from."""
+    ds = make_heritages(size=300, n_sources=900, seed=11)
+    warm = TDHModel(incremental=True).fit(ds)
+    obj = ds.objects[0]
+    ds.add_answer(Answer(obj, "w-late", ds.candidates(obj)[0]))
+    result = TDHModel(max_iter=0, incremental=True).fit(ds, warm_start=warm)
+    assert result.frontier_size is None
+    assert result.iterations == 0 and not result.converged
+    assert result.em_state is None
 
 
 def test_frontier_hops_knob_validates_and_widens():

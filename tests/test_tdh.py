@@ -258,46 +258,91 @@ class TestTrustViews:
         np.testing.assert_array_equal(result.worker_psi("w-after-fit"), np.full(3, 1 / 3))
 
 
+def _assert_stored_state_is_an_evaluation(model, result, warm_trust):
+    """``result`` (an incremental fit) stores one E/M evaluation's output:
+    its clean claimants keep their ``warm_trust`` rows bitwise, every
+    frontier claimant's row is the M-step of its stored case sums, and
+    ``mu`` is the Eq. 9 ratio of the stored numerators and denominators."""
+    assert result.frontier_size is not None
+    col, mu, numer, den = result.columnar_state
+    on_frontier = np.zeros(col.n_claimants, dtype=bool)
+    slots = []
+    for oid in result.frontier_state["frontier"]:
+        rows = slice(col.claim_offsets[oid], col.claim_offsets[oid + 1])
+        on_frontier[col.claim_claimant[rows]] = True
+        slots.extend(range(col.value_offsets[oid], col.value_offsets[oid + 1]))
+    assert on_frontier[len(warm_trust):].all()  # new claimants claim on it
+    clean = np.flatnonzero(~on_frontier)
+    assert len(clean)
+
+    trust = result.em_state["trust"]
+    assert np.array_equal(trust[clean], warm_trust[clean])
+    dirty = np.flatnonzero(on_frontier)
+    expected = _trust_m_step(
+        result.em_state["g_sums"][dirty].T,
+        *model._trust_priors(col.claimant_is_worker[dirty]),
+    )
+    assert np.array_equal(trust[dirty], expected.T)
+
+    den_slot = den[col.slot_obj][slots]
+    ratio = np.where(
+        den_slot > 0,
+        numer[slots] / np.where(den_slot > 0, den_slot, 1.0),
+        1.0 / col.sizes[col.slot_obj][slots],
+    )
+    assert np.array_equal(mu[slots], ratio)
+
+
+def _crowd_batch(ds, rng, batch):
+    """Eight answers from new workers and, on odd batches, two records: a
+    new candidate value on an existing object, and a new object."""
+    for i in range(8):
+        obj = ds.objects[int(rng.integers(len(ds.objects)))]
+        candidates = ds.candidates(obj)
+        value = candidates[int(rng.integers(len(candidates)))]
+        ds.add_answer(Answer(obj, f"w{batch}-{i}", value))
+    if batch % 2:
+        obj = ds.objects[int(rng.integers(len(ds.objects)))]
+        fresh = next(
+            v for v in ds.hierarchy.non_root_nodes() if v not in ds.candidates(obj)
+        )
+        ds.add_record(Record(obj, f"src-late-{batch}", fresh))
+        ds.add_record(Record(f"obj-late-{batch}", f"src-late-{batch}", fresh))
+
+
 def test_clean_claimant_trust_rows_carry_over_verbatim():
     """An incremental fit writes back only the frontier claimants' trust rows:
     a claimant with no frontier claim keeps its warm row bitwise, and every
-    frontier claimant's row is the M-step of its stored case sums."""
+    frontier claimant's row is the M-step of its stored case sums. The
+    frontier's ``mu`` is the Eq. 9 ratio of its stored numerators."""
     ds = _sparse_crowd_dataset()
     model = TDHModel(incremental=True)
     result = model.fit(ds)
     rng = np.random.default_rng(5)
     for batch in range(6):
-        for i in range(8):
-            obj = ds.objects[int(rng.integers(len(ds.objects)))]
-            candidates = ds.candidates(obj)
-            value = candidates[int(rng.integers(len(candidates)))]
-            ds.add_answer(Answer(obj, f"w{batch}-{i}", value))
-        if batch % 2:
-            # Records: a new candidate value on an existing object, and a new object.
-            obj = ds.objects[int(rng.integers(len(ds.objects)))]
-            fresh = next(
-                v for v in ds.hierarchy.non_root_nodes() if v not in ds.candidates(obj)
-            )
-            ds.add_record(Record(obj, f"src-late-{batch}", fresh))
-            ds.add_record(Record(f"obj-late-{batch}", f"src-late-{batch}", fresh))
+        _crowd_batch(ds, rng, batch)
         warm_trust = result.em_state["trust"]
         result = model.fit(ds, warm_start=result)
-        assert result.frontier_size is not None
+        _assert_stored_state_is_an_evaluation(model, result, warm_trust)
 
-        col = result.columnar_state[0]
-        on_frontier = np.zeros(col.n_claimants, dtype=bool)
-        for oid in result.frontier_state["frontier"]:
-            rows = slice(col.claim_offsets[oid], col.claim_offsets[oid + 1])
-            on_frontier[col.claim_claimant[rows]] = True
-        assert on_frontier[len(warm_trust):].all()  # new claimants claim on it
-        clean = np.flatnonzero(~on_frontier)
-        assert len(clean)
 
-        trust = result.em_state["trust"]
-        assert np.array_equal(trust[clean], warm_trust[clean])
-        dirty = np.flatnonzero(on_frontier)
-        expected = _trust_m_step(
-            result.em_state["g_sums"][dirty].T,
-            *model._trust_priors(col.claimant_is_worker[dirty]),
-        )
-        assert np.array_equal(trust[dirty], expected.T)
+def test_max_iter_caps_the_incremental_evaluations():
+    """``max_iter`` caps the accelerated loop's E/M evaluations exactly, and
+    a stop in any phase of a cycle (x1 = F(x0), x2 = F(x1), then F of the
+    extrapolated point) stores an evaluation's output: k = 1-3 stop in the
+    first cycle, whose step is 1; k = 4-6 in the second, which extrapolates.
+    A window consumes its warm start's oplog, so each fit replays it."""
+
+    def fit_window(max_iter):
+        ds = _sparse_crowd_dataset()
+        warm = TDHModel(incremental=True).fit(ds)
+        _crowd_batch(ds, np.random.default_rng(5), batch=1)
+        model = TDHModel(max_iter=max_iter, incremental=True)
+        return model, model.fit(ds, warm_start=warm), warm.em_state["trust"]
+
+    _, uncapped, _ = fit_window(100)
+    assert uncapped.converged and uncapped.iterations > 6
+    for k in range(1, 7):
+        model, capped, warm_trust = fit_window(k)
+        assert capped.iterations == k and not capped.converged
+        _assert_stored_state_is_an_evaluation(model, capped, warm_trust)
